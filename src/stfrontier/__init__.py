@@ -37,7 +37,6 @@ from .assumption_tests import (
     TestReport,
     ar_fit,
     fit_spatial_slice,
-    percentile_interval,
     sieve_bootstrap_series,
     test_constant_spatial,
     test_constant_temporal,
@@ -79,7 +78,6 @@ __all__ = [
     "fit_frontier_gls",
     "fit_spatial_slice",
     "inefficiency_mean",
-    "percentile_interval",
     "predict_te",
     "run_grid",
     "run_power_cell",

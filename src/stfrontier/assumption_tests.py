@@ -14,10 +14,13 @@ test_constant_temporal: are the units' autocorrelation coefficients equal?
 Per unit, an AR(p) is fit to its series (frontier residuals by default). Each
 unit's AR-sieve bootstrap (Buehlmann 1997) then runs with the highest-lag
 coefficient set to the cross-unit mean, so the resamples obey the null, and
-rebuilds k series from the unit's centered fit residuals; each is refit. Each
-unit's deviation is studentised by its own bootstrap standard deviation. The
-null is rejected when at least one unit's interval excludes the cross-unit
-mean of the original estimates.
+rebuilds k series from the unit's centered fit residuals; each is refit. The
+sieves of all units run as one recursion over N*k series, each unit drawing
+its innovations from its own substream, and the refit's normal equations are
+summed while the recursion runs, so no sieve series is stored. Each unit's
+deviation is studentised by its own bootstrap standard deviation. The null
+is rejected when at least one unit's interval excludes the cross-unit mean
+of the original estimates.
 
 test_constant_spatial: is the spatial effect on technical efficiency equal
 across time points? Per period, TE is mapped back to the linear scale and
@@ -214,36 +217,57 @@ def _stabilized(fit: ARFit) -> ARFit:
     )
 
 
-def _sieve_batch(fit: ARFit, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Generate k sieve series of length m from one fitted recursion.
+def _sieve_indices(rngs, n_residuals: int, k: int, steps: int) -> np.ndarray:
+    """Innovation indices for k sieve series per generator, time-major.
 
-    Starts each series at the observed first p values, runs SIEVE_BURN_IN
-    discarded steps, then emits m values, with innovations drawn uniformly
-    with replacement from the centered residuals.
+    Generator i draws its own (k, steps) block, so one unit's draws do not
+    depend on how many other units run with it. The result has shape
+    (steps, len(rngs), k) in the smallest unsigned dtype that holds the
+    indices.
     """
-    p = fit.order
-    residuals = fit.centered_residuals
-    intercept = fit.coeffs[0]
-    lag = fit.lag_coeffs
-    steps = SIEVE_BURN_IN + m
-    innov = residuals[rng.integers(0, residuals.shape[0], size=(k, steps))]
-    state = np.tile(np.asarray(fit.series_head)[::-1], (k, 1))  # newest first
-    out = np.empty((k, steps))
-    for s in range(steps):
-        # state holds (y_{t-1}, ..., y_{t-p}); lag holds (rho_1, ..., rho_p)
-        new = intercept + state @ lag + innov[:, s]
-        out[:, s] = new
-        if p > 1:
-            state[:, 1:] = state[:, :-1]
-        state[:, 0] = new
-    return out[:, SIEVE_BURN_IN:]
+    idx = np.empty((steps, len(rngs), k), dtype=np.min_scalar_type(n_residuals - 1))
+    for i, rng in enumerate(rngs):
+        idx[:, i, :] = rng.integers(0, n_residuals, size=(k, steps)).T
+    return idx
+
+
+def _sieve_steps(fits: list[ARFit], idx: np.ndarray):
+    """Run the sieve recursion of every fit at once, k series per fit.
+
+    Each series starts at its fit's observed first p values; at step s, unit
+    i's series draws the centered residuals that idx[s, i] picks. Yields, per
+    step, the lagged values before the step, shape (units, k, p) newest first
+    (y_{t-1}, ..., y_{t-p}), and the new value, shape (units, k). The lags
+    are updated in place after the consumer resumes the generator.
+    """
+    p = fits[0].order
+    k = idx.shape[2]
+    intercept = np.array([fit.coeffs[0] for fit in fits])[:, None]
+    lag = np.array([fit.lag_coeffs for fit in fits])[:, :, None]  # (units, p, 1)
+    residuals = np.concatenate([fit.centered_residuals for fit in fits])
+    offsets = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])[:, None]
+    state = np.empty((len(fits), k, p))
+    state[:] = np.array([fit.series_head[::-1] for fit in fits])[:, None, :]
+    for step_idx in idx:
+        # One lag needs no BLAS call: its product rounds the same either way.
+        # Several lags go through matmul, which rounds as BLAS does (it may
+        # fuse multiply-adds), so every series matches a per-unit recursion.
+        new = state[..., 0] * lag[:, 0] if p == 1 else (state @ lag)[..., 0]
+        new += intercept
+        new += residuals.take(np.add(step_idx, offsets, dtype=np.intp))
+        yield state, new
+        state[..., 1:] = state[..., :-1]
+        state[..., 0] = new
 
 
 def sieve_bootstrap_series(fit: ARFit, m: int, seed) -> np.ndarray:
     """One sieve-bootstrap series of length m from a fitted AR recursion.
 
-    ``seed`` may be an integer or a numpy Generator. The fitted polynomial
-    must be stationary.
+    The recursion starts at the observed first p values and runs
+    SIEVE_BURN_IN discarded steps before it emits m values, with innovations
+    drawn uniformly with replacement from the centered residuals. ``seed``
+    may be an integer or a numpy Generator. The fitted polynomial must be
+    stationary.
     """
     if m < fit.n_obs:
         raise ValidationError(
@@ -255,39 +279,57 @@ def sieve_bootstrap_series(fit: ARFit, m: int, seed) -> np.ndarray:
             "root inside the unit circle"
         )
     rng = seed if isinstance(seed, np.random.Generator) else substream(check_seed(seed), "sieve")
-    return _sieve_batch(fit, m, 1, rng)[0]
+    idx = _sieve_indices([rng], fit.centered_residuals.shape[0], 1, SIEVE_BURN_IN + m)
+    values = [new[0, 0] for _, new in _sieve_steps([fit], idx)]
+    return np.array(values[SIEVE_BURN_IN:])
 
 
-def _ar_refit_batch(series_batch: np.ndarray, p: int) -> np.ndarray:
-    """Highest-lag AR(p) coefficient for each row of a (k, m) batch."""
-    k, m = series_batch.shape
-    cols = [np.ones((k, m - p))] + [
-        series_batch[:, p - j : m - j] for j in range(1, p + 1)
-    ]
-    design = np.stack(cols, axis=2)  # (k, rows, p+1)
-    target = series_batch[:, p:]
-    xtx = np.einsum("krc,krd->kcd", design, design)
-    xty = np.einsum("krc,kr->kc", design, target)
+def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
+    """Highest-lag AR(p) coefficient refit to every sieve series, shape (units, k).
+
+    Each series is emitted after SIEVE_BURN_IN steps. The refit regresses its
+    values y_t, t >= p, on (1, y_{t-1}, ..., y_{t-p}). The normal equations
+    are summed while the recursion runs, one row per step in time order,
+    which is the order in which an einsum over the stored series sums them;
+    so the emitted series are never kept. One batched solve serves every
+    series; if a unit has a singular system, that unit's k systems are solved
+    by least squares instead.
+    """
+    p = fits[0].order
+    q = p + 1
+    steps = idx.shape[0]
+    first = SIEVE_BURN_IN + p  # the step that emits y_p, the first target
+    # upper triangle of X'X; its (0, 0) entry is the row count
+    pairs = [(c, d) for c in range(q) for d in range(max(c, 1), q)]
+    xtx = [0.0] * len(pairs)
+    xty = [0.0] * q
+    for step, (lags, new) in enumerate(_sieve_steps(fits, idx)):
+        if step < first:
+            continue
+        row = (None, *np.moveaxis(lags, -1, 0))  # column 0 is the intercept's 1
+        for j, (c, d) in enumerate(pairs):
+            xtx[j] += row[d] if c == 0 else row[c] * row[d]
+        xty[0] += new
+        for c in range(1, q):
+            xty[c] += row[c] * new
+    del idx  # frees the indices before the solve when the caller keeps no reference
+    a = np.empty(new.shape + (q, q))
+    a[..., 0, 0] = steps - first
+    for (c, d), total in zip(pairs, xtx):
+        a[..., c, d] = a[..., d, c] = total
+    b = np.stack(xty, axis=-1)[..., None]
     try:
-        coefs = np.linalg.solve(xtx, xty[..., None])[..., 0]
+        coefs = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        coefs = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(xtx, xty)])
-    return coefs[:, -1]
+        coefs = np.stack([_solve_unit(unit_a, unit_b) for unit_a, unit_b in zip(a, b)])
+    return coefs[..., -1, 0]
 
 
-def percentile_interval(values, alpha: float) -> tuple[float, float]:
-    """Order-statistic percentile interval: (ceil(k*alpha/2), floor(k*(1-alpha/2)))
-    in 1-based positions of the sorted values."""
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    k = vals.shape[0]
-    if k * alpha < 5:
-        raise ValidationError(
-            f"k*alpha = {k * alpha:.3g} < 5; too few draws for stable percentiles"
-        )
-    # the 1e-9 nudge keeps float products like 1000*0.05/2 from crossing integers
-    lo_pos = max(1, math.ceil(k * alpha / 2.0 - 1e-9))
-    hi_pos = min(k, math.floor(k * (1.0 - alpha / 2.0) + 1e-9))
-    return float(vals[lo_pos - 1]), float(vals[hi_pos - 1])
+def _solve_unit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.stack([np.linalg.lstsq(x, y, rcond=None)[0] for x, y in zip(a, b)])
 
 
 def _simultaneous_intervals(
@@ -328,11 +370,31 @@ def _unit_series(panel: PanelDataset, source: str) -> np.ndarray:
     return fit_frontier_gls(panel).innovations
 
 
+def _null_sieve_draws(fits: list[ARFit], m: int, config: TestConfig) -> np.ndarray:
+    """Bootstrap draws of each unit's highest-lag coefficient, shape (N, k).
+
+    Every unit's sieve runs with its highest-lag coefficient set to the
+    cross-unit mean, stabilized if that makes it (near-)explosive, and draws
+    its innovations from its own substream ("temporal-sieve", unit index).
+    """
+    pooled = float(np.mean([fit.highest_lag_coeff for fit in fits]))
+    null_fits = [
+        _stabilized(replace(fit, coeffs=(*fit.coeffs[:-1], pooled))) for fit in fits
+    ]
+    rngs = [substream(config.seed, "temporal-sieve", i) for i in range(len(fits))]
+    return _sieve_refit(
+        null_fits, _sieve_indices(rngs, m - config.ar_order_p, config.n_boot_k, SIEVE_BURN_IN + m)
+    )
+
+
 def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestReport:
     """AR-sieve bootstrap test of a common autocorrelation coefficient.
 
     Every unit is fit first; each unit's sieve then runs with its highest-lag
-    coefficient set to the cross-unit mean, imposing the null. The per-unit
+    coefficient set to the cross-unit mean, imposing the null. One
+    unit-batched recursion generates all N*k sieve series from time-major
+    innovation indices and sums their AR refits' normal equations as it goes;
+    one batched solve then gives the N*k refit coefficients. The per-unit
     intervals are simultaneous max-t intervals, each studentised by the
     bootstrap standard deviation of that unit's deviation from the replicate's
     cross-unit mean. Rejects when at least one unit's interval
@@ -355,14 +417,8 @@ def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestRepor
         except (ValidationError, EstimationError) as err:
             raise BootstrapError(f"AR fit failed for unit {label!r}: {err}") from err
     estimates = np.array([fit.highest_lag_coeff for fit in fits])
-    pooled = float(estimates.mean())
 
-    draws = np.empty((panel.n_units, config.n_boot_k))
-    for i, fit in enumerate(fits):
-        null_fit = replace(fit, coeffs=(*fit.coeffs[:-1], pooled))
-        rng = substream(config.seed, "temporal-sieve", i)
-        batch = _sieve_batch(_stabilized(null_fit), m, config.n_boot_k, rng)
-        draws[i] = _ar_refit_batch(batch, p)
+    draws = _null_sieve_draws(fits, m, config)
     deviations = draws - draws.mean(axis=0)
     spread = deviations.std(axis=1, ddof=1)
     if not (spread > 0).all():

@@ -124,6 +124,28 @@ def _cmd_estimate(args, argv) -> int:
     return EXIT_OK
 
 
+def _label_positions(found: tuple, wanted: tuple, what: str) -> list[int]:
+    """Position in ``found`` of each label in ``wanted``; the two must hold
+    the same labels."""
+    position = {label: i for i, label in enumerate(found)}
+    for label in wanted:
+        if label not in position:
+            raise DataError(f"TE CSV lacks the panel's {what} {label!r}")
+    if len(found) != len(wanted):
+        known = set(wanted)
+        extra = next(label for label in found if label not in known)
+        raise DataError(f"TE CSV has {what} {extra!r}, which the panel lacks")
+    return [position[label] for label in wanted]
+
+
+def _te_for_panel(path: str, panel) -> np.ndarray:
+    """The TE CSV's matrix, rows and columns in the panel's unit and period order."""
+    te, units, periods = io.read_te_csv(path)
+    rows = _label_positions(units, panel.unit_ids, "unit")
+    cols = _label_positions(periods, panel.period_ids, "period")
+    return te[np.ix_(rows, cols)]
+
+
 def _cmd_test(kind: str, args, argv) -> int:
     panel = io.read_panel_csv(args.panel)
     seed = _effective_seed(args.seed)
@@ -138,7 +160,7 @@ def _cmd_test(kind: str, args, argv) -> int:
         report = test_constant_temporal(panel, config)
     else:
         if args.te:
-            te, _, _ = io.read_te_csv(args.te)
+            te = _te_for_panel(args.te, panel)
         else:
             te = estimate_model(panel).te
         report = test_constant_spatial(

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import tempfile
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -112,11 +113,59 @@ def _parse_header(fields: list[str]) -> tuple[int, int, int]:
     return counts["x"], counts["w"], counts["z"]
 
 
+class _Cells:
+    """The (unit, period) cells of a long-format CSV.
+
+    Units and periods keep the order in which they first appear, so rows may
+    come in any order. Values are packed as they arrive, so no Python object
+    outlives its row.
+    """
+
+    def __init__(self, width: int):
+        self.units: dict[str, int] = {}  # label -> index
+        self.periods: dict[str, int] = {}
+        self._seen: set[tuple[int, int]] = set()
+        self._unit_pos, self._period_pos = array("q"), array("q")
+        self._values = array("d")
+        self._width = width
+
+    def add(self, unit: str, period: str, values) -> bool:
+        """Store one cell's values; False when the cell is already stored."""
+        key = (
+            self.units.setdefault(unit, len(self.units)),
+            self.periods.setdefault(period, len(self.periods)),
+        )
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        self._unit_pos.append(key[0])
+        self._period_pos.append(key[1])
+        self._values.extend(values)
+        return True
+
+    def grid(self, what: str) -> np.ndarray:
+        """(N, T, width) array of the values; raises naming the first missing cell."""
+        n, t = len(self.units), len(self.periods)
+        if len(self._seen) != n * t:
+            for unit, i in self.units.items():
+                for period, j in self.periods.items():
+                    if (i, j) not in self._seen:
+                        raise DataError(
+                            f"unbalanced {what}: missing cell (unit {unit}, period {period})"
+                        )
+        out = np.empty((n, t, self._width))
+        rows = np.frombuffer(self._unit_pos, dtype=np.int64)
+        cols = np.frombuffer(self._period_pos, dtype=np.int64)
+        out[rows, cols] = np.frombuffer(self._values, dtype=float).reshape(-1, self._width)
+        return out
+
+
 def read_panel_csv(path: str) -> PanelDataset:
-    """Parse and validate a long-format panel CSV; y is converted to ln y."""
-    rows: dict[tuple[str, str], list[float]] = {}
-    units: list[str] = []
-    periods: list[str] = []
+    """Parse and validate a long-format panel CSV; y is converted to ln y.
+
+    Units and periods keep the order in which they first appear; the rows
+    may come in any order.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = None
@@ -127,6 +176,7 @@ def read_panel_csv(path: str) -> PanelDataset:
             if header is None:
                 header = fields
                 p, q, r = _parse_header(fields)
+                cells = _Cells(1 + p + q + r)
                 continue
             if len(fields) != 3 + p + q + r:
                 raise DataError(
@@ -137,7 +187,7 @@ def read_panel_csv(path: str) -> PanelDataset:
                 values = [float(v) for v in fields[2:]]
             except ValueError as err:
                 raise DataError(f"row {lineno}: malformed number: {err}") from err
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise DataError(f"row {lineno}: non-finite value")
             if values[0] <= 0:
                 raise DataError(
@@ -149,43 +199,20 @@ def read_panel_csv(path: str) -> PanelDataset:
                         f"row {lineno}: input x{j} must be positive to take logs, "
                         f"got {x_val!r}"
                     )
-            key = (unit, period)
-            if key in rows:
+            values[0] = math.log(values[0])
+            if not cells.add(unit, period, values):
                 raise DataError(f"row {lineno}: duplicate cell (unit {unit}, period {period})")
-            rows[key] = values
-            if unit not in units:
-                units.append(unit)
-            if period not in periods:
-                periods.append(period)
     if header is None:
         raise DataError(f"{path}: no header row found")
 
-    for unit in units:
-        for period in periods:
-            if (unit, period) not in rows:
-                raise DataError(
-                    f"unbalanced panel: missing cell (unit {unit}, period {period})"
-                )
-
-    n, t = len(units), len(periods)
-    log_output = np.empty((n, t))
-    log_inputs = np.empty((n, t, p))
-    spatial = np.empty((n, t, q))
-    covariates = np.empty((n, t, r))
-    for i, unit in enumerate(units):
-        for j, period in enumerate(periods):
-            vals = rows[(unit, period)]
-            log_output[i, j] = math.log(vals[0])
-            log_inputs[i, j] = np.log(vals[1 : 1 + p])
-            spatial[i, j] = vals[1 + p : 1 + p + q]
-            covariates[i, j] = vals[1 + p + q :]
+    table = cells.grid("panel")
     return PanelDataset(
-        log_output=log_output,
-        log_inputs=log_inputs,
-        spatial=spatial,
-        covariates=covariates,
-        unit_ids=tuple(units),
-        period_ids=tuple(periods),
+        log_output=table[..., 0],
+        log_inputs=np.log(table[..., 1 : 1 + p]),
+        spatial=table[..., 1 + p : 1 + p + q],
+        covariates=table[..., 1 + p + q :],
+        unit_ids=tuple(cells.units),
+        period_ids=tuple(cells.periods),
     )
 
 
@@ -208,10 +235,11 @@ def write_te_csv(
 
 
 def read_te_csv(path: str) -> tuple[np.ndarray, tuple, tuple]:
-    """Read a TE CSV back into an (N, T) matrix plus its labels."""
-    cells: dict[tuple[str, str], float] = {}
-    units: list[str] = []
-    periods: list[str] = []
+    """Read a TE CSV back into an (N, T) matrix plus its labels.
+
+    Units and periods keep the order in which they first appear.
+    """
+    cells = _Cells(1)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = None
@@ -229,23 +257,11 @@ def read_te_csv(path: str) -> tuple[np.ndarray, tuple, tuple]:
                 value = float(fields[2])
             except ValueError as err:
                 raise DataError(f"row {lineno}: malformed number: {err}") from err
-            key = (fields[0], fields[1])
-            if key in cells:
-                raise DataError(f"row {lineno}: duplicate cell {key}")
-            cells[key] = value
-            if fields[0] not in units:
-                units.append(fields[0])
-            if fields[1] not in periods:
-                periods.append(fields[1])
+            if not cells.add(fields[0], fields[1], (value,)):
+                raise DataError(f"row {lineno}: duplicate cell {(fields[0], fields[1])}")
     if header is None:
         raise DataError(f"{path}: no header row found")
-    te = np.empty((len(units), len(periods)))
-    for i, unit in enumerate(units):
-        for t, period in enumerate(periods):
-            if (unit, period) not in cells:
-                raise DataError(f"unbalanced TE matrix: missing cell (unit {unit}, period {period})")
-            te[i, t] = cells[(unit, period)]
-    return te, tuple(units), tuple(periods)
+    return cells.grid("TE matrix")[..., 0], tuple(cells.units), tuple(cells.periods)
 
 
 # ---------------------------------------------------------------------------

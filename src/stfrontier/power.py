@@ -68,8 +68,14 @@ class PowerCell:
     def __post_init__(self):
         if self.n_reps < 1:
             raise ValidationError(f"n_reps must be >= 1, got {self.n_reps}")
-        if self.n_rejections != round(self.rejection_rate * self.n_reps):
-            raise ValidationError("rejection_rate must equal n_rejections / n_reps")
+        if not 0 <= self.n_failures < self.n_reps:
+            raise ValidationError(
+                f"n_failures must lie in [0, n_reps), got {self.n_failures} of {self.n_reps}"
+            )
+        if self.n_rejections != round(self.rejection_rate * (self.n_reps - self.n_failures)):
+            raise ValidationError(
+                "rejection_rate must equal n_rejections / (n_reps - n_failures)"
+            )
 
     @property
     def shift(self) -> float:
@@ -95,7 +101,8 @@ def run_power_cell(
     The spatial test consumes the simulated ground-truth TE by default
     (te_source="true"); "estimated" feeds the model-predicted TE instead.
     Errors inside a replication are collected; the cell is abandoned only
-    when more than 1% of replications fail.
+    when more than 1% of replications fail. The rejection rate counts the
+    completed replications only.
     """
     if test_kind not in TEST_KINDS:
         raise ValidationError(f"test_kind must be one of {TEST_KINDS}, got {test_kind!r}")
@@ -140,7 +147,7 @@ def run_power_cell(
         test_kind=test_kind,
         n_reps=n_reps,
         n_rejections=rejections,
-        rejection_rate=rejections / n_reps,
+        rejection_rate=rejections / (n_reps - len(failures)),
         wall_time=time.perf_counter() - start,
         n_failures=len(failures),
     )

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,25 @@ from stfrontier import (
     ARFit,
     BootstrapError,
     EstimationError,
+    Scenario,
+    TestConfig,
     ValidationError,
     ar_fit,
-    percentile_interval,
+    default_power_params,
+    fit_frontier_gls,
     sieve_bootstrap_series,
+    simulate_panel,
 )
-from stfrontier.assumption_tests import _spectral_radius, _stabilized
+from stfrontier.assumption_tests import (
+    SIEVE_BURN_IN,
+    _null_sieve_draws,
+    _sieve_indices,
+    _sieve_refit,
+    _spectral_radius,
+    _stabilized,
+    test_constant_temporal as run_temporal_test,
+)
+from stfrontier.rng import substream
 
 
 def make_ar1(rho, t, seed, sigma=1.0, intercept=0.0):
@@ -58,32 +74,6 @@ class TestArFit:
         fit = ar_fit(series, 2)
         assert fit.mse > 0
         assert fit.series_head == (series[0], series[1])
-
-
-class TestPercentileInterval:
-    def test_thousand_values(self):
-        lo, hi = percentile_interval(np.arange(1.0, 1001.0), 0.05)
-        assert (lo, hi) == (25.0, 975.0)
-
-    def test_all_equal(self):
-        lo, hi = percentile_interval(np.full(200, 3.5), 0.05)
-        assert (lo, hi) == (3.5, 3.5)
-
-    def test_hundred_values_alpha_ten(self):
-        lo, hi = percentile_interval(np.arange(1.0, 101.0), 0.10)
-        assert (lo, hi) == (5.0, 95.0)
-
-    def test_too_few_draws_rejected(self):
-        with pytest.raises(ValidationError, match="< 5"):
-            percentile_interval(np.arange(50.0), 0.05)
-
-    def test_width_shrinks_as_alpha_grows(self):
-        values = np.random.default_rng(0).normal(size=1000)
-        w = {}
-        for alpha in (0.05, 0.1, 0.2):
-            lo, hi = percentile_interval(values, alpha)
-            w[alpha] = hi - lo
-        assert w[0.05] >= w[0.1] >= w[0.2]
 
 
 class TestSieveBootstrap:
@@ -161,3 +151,129 @@ class TestStabilization:
     def test_stationary_fit_untouched(self):
         fit = ar_fit(make_ar1(0.4, 30, seed=7), 1)
         assert _stabilized(fit) is fit
+
+
+# Reference for the unit-batched sieve: the per-unit recursion and einsum
+# refit that test_constant_temporal ran before the units were batched.
+
+
+def _oracle_sieve_batch(fit, m, k, rng):
+    p = fit.order
+    residuals = fit.centered_residuals
+    intercept = fit.coeffs[0]
+    lag = fit.lag_coeffs
+    steps = SIEVE_BURN_IN + m
+    innov = residuals[rng.integers(0, residuals.shape[0], size=(k, steps))]
+    state = np.tile(np.asarray(fit.series_head)[::-1], (k, 1))
+    out = np.empty((k, steps))
+    for s in range(steps):
+        new = intercept + state @ lag + innov[:, s]
+        out[:, s] = new
+        if p > 1:
+            state[:, 1:] = state[:, :-1]
+        state[:, 0] = new
+    return out[:, SIEVE_BURN_IN:]
+
+
+def _oracle_ar_refit_batch(series_batch, p):
+    k, m = series_batch.shape
+    cols = [np.ones((k, m - p))] + [series_batch[:, p - j : m - j] for j in range(1, p + 1)]
+    design = np.stack(cols, axis=2)
+    target = series_batch[:, p:]
+    xtx = np.einsum("krc,krd->kcd", design, design)
+    xty = np.einsum("krc,kr->kc", design, target)
+    try:
+        coefs = np.linalg.solve(xtx, xty[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        coefs = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(xtx, xty)])
+    return coefs[:, -1]
+
+
+def _oracle_null_draws(fits, m, config):
+    pooled = float(np.mean([fit.highest_lag_coeff for fit in fits]))
+    draws = np.empty((len(fits), config.n_boot_k))
+    for i, fit in enumerate(fits):
+        null_fit = replace(fit, coeffs=(*fit.coeffs[:-1], pooled))
+        rng = substream(config.seed, "temporal-sieve", i)
+        batch = _oracle_sieve_batch(_stabilized(null_fit), m, config.n_boot_k, rng)
+        draws[i] = _oracle_ar_refit_batch(batch, fit.order)
+    return draws
+
+
+def gate_panel(seed, contaminated=False):
+    """A panel at the acceptance gate's temporal point: n=50, T=12."""
+    scenario = Scenario(
+        n_units=50,
+        n_periods=12,
+        base_params=default_power_params(),
+        contamination_fraction=0.1 if contaminated else 0.0,
+        temporal_shift_r=1.0 if contaminated else 0.0,
+        seed=seed,
+    )
+    return simulate_panel(scenario)[0]
+
+
+class TestBatchedSieve:
+    @pytest.mark.parametrize(
+        "seed, contaminated", [(1, False), (2, False), (3, True), (4, False), (5, True)]
+    )
+    def test_ar1_draws_equal_per_unit_oracle(self, seed, contaminated):
+        panel = gate_panel(seed, contaminated)
+        fits = [ar_fit(s, 1) for s in fit_frontier_gls(panel).innovations]
+        config = TestConfig(n_boot_k=500, seed=100 + seed)
+        batched = _null_sieve_draws(fits, panel.n_periods, config)
+        assert np.array_equal(batched, _oracle_null_draws(fits, panel.n_periods, config))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_higher_order_draws_match_oracle(self, p):
+        panel = gate_panel(6, contaminated=True)
+        fits = [ar_fit(s, p) for s in fit_frontier_gls(panel).innovations]
+        config = TestConfig(ar_order_p=p, n_boot_k=500, seed=7)
+        batched = _null_sieve_draws(fits, panel.n_periods, config)
+        oracle = _oracle_null_draws(fits, panel.n_periods, config)
+        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
+
+    def test_singular_unit_falls_back_to_least_squares(self):
+        # a flat recursion with no innovations makes that unit's refit singular
+        good = ar_fit(make_ar1(0.4, 12, seed=3), 1)
+        flat = ARFit(
+            order=1,
+            coeffs=(1.0, 0.0),
+            centered_residuals=np.zeros(11),
+            mse=0.0,
+            series_head=(1.0,),
+            n_obs=12,
+        )
+        fits = [good, flat]
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        batched = _sieve_refit(fits, _sieve_indices(rngs, 11, 100, SIEVE_BURN_IN + 12))
+        oracle = [
+            _oracle_ar_refit_batch(_oracle_sieve_batch(fit, 12, 100, np.random.default_rng(i)), 1)
+            for i, fit in enumerate(fits)
+        ]
+        assert np.array_equal(batched, np.stack(oracle))
+
+    def test_single_series_uses_the_same_recursion(self):
+        fit = ar_fit(make_ar1(0.5, 30, seed=11), 2)
+        series = sieve_bootstrap_series(fit, 30, np.random.default_rng(8))
+        oracle = _oracle_sieve_batch(fit, 30, 1, np.random.default_rng(8))[0]
+        assert np.array_equal(series, oracle)
+
+    def test_indices_time_major_in_smallest_dtype(self):
+        idx = _sieve_indices([np.random.default_rng(0), np.random.default_rng(1)], 11, 7, 20)
+        assert idx.shape == (20, 2, 7) and idx.dtype == np.uint8
+        expected = np.random.default_rng(1).integers(0, 11, size=(7, 20))
+        assert np.array_equal(idx[:, 1, :], expected.T)
+        assert _sieve_indices([np.random.default_rng(0)], 300, 2, 5).dtype == np.uint16
+
+    def test_memory_peak_at_gate_point(self):
+        panel = gate_panel(1)
+        config = TestConfig(n_boot_k=500, seed=3)
+        run_temporal_test(panel, config)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            run_temporal_test(panel, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20

@@ -102,6 +102,31 @@ class TestPanelCsv:
             read_panel_csv(str(target))
 
 
+    def test_shuffled_rows_give_same_cells(self, tmp_path):
+        panel = simulated_panel(n=7, t=6)
+        ordered = tmp_path / "ordered.csv"
+        write_panel_csv(panel, str(ordered))
+        lines = ordered.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        body = lines[start:]
+        np.random.default_rng(4).shuffle(body)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join(lines[:start] + body) + "\n")
+
+        first_units = list(dict.fromkeys(line.split(",")[0] for line in body))
+        first_periods = list(dict.fromkeys(line.split(",")[1] for line in body))
+        a = read_panel_csv(str(ordered))
+        b = read_panel_csv(str(shuffled))
+        assert b.unit_ids == tuple(first_units) and b.period_ids == tuple(first_periods)
+        assert a.unit_ids != b.unit_ids
+        for i, unit in enumerate(a.unit_ids):
+            for t, period in enumerate(a.period_ids):
+                j, s = b.unit_ids.index(unit), b.period_ids.index(period)
+                assert b.log_output[j, s] == a.log_output[i, t]
+                for name in ("log_inputs", "spatial", "covariates"):
+                    assert np.array_equal(getattr(b, name)[j, s], getattr(a, name)[i, t])
+
+
 class TestScenarioJson:
     def test_round_trip(self, tmp_path):
         scenario = Scenario(
@@ -239,6 +264,57 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out.read_text())["reject"] is False
+
+    def test_spatial_te_paired_by_label(self, tmp_path, scenario_file):
+        panel_csv = tmp_path / "panel.csv"
+        te_csv = tmp_path / "te.csv"
+        parse_and_dispatch(["simulate", "--scenario", str(scenario_file), "--out", str(panel_csv)])
+        parse_and_dispatch(
+            ["estimate", "--panel", str(panel_csv), "--out", str(tmp_path / "e.json"),
+             "--te-out", str(te_csv)]
+        )
+        lines = te_csv.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        units = list(dict.fromkeys(line.split(",")[0] for line in lines[start:]))
+        reordered = [
+            line for unit in reversed(units) for line in lines[start:]
+            if line.split(",")[0] == unit
+        ]
+        reversed_csv = tmp_path / "te_reversed.csv"
+        reversed_csv.write_text("\n".join(lines[:start] + reordered) + "\n")
+
+        reports = []
+        for te in (te_csv, reversed_csv):
+            out = tmp_path / f"spatial-{te.stem}.json"
+            parse_and_dispatch(
+                ["test-spatial", "--panel", str(panel_csv), "--te", str(te),
+                 "--boot-k", "150", "--seed", "3", "--out", str(out)]
+            )
+            payload = json.loads(out.read_text())
+            payload.pop("meta")
+            reports.append(payload)
+        assert reports[0] == reports[1]
+
+    def test_spatial_te_label_mismatch_named(self, tmp_path, scenario_file, capsys):
+        panel_csv = tmp_path / "panel.csv"
+        te_csv = tmp_path / "te.csv"
+        parse_and_dispatch(["simulate", "--scenario", str(scenario_file), "--out", str(panel_csv)])
+        parse_and_dispatch(
+            ["estimate", "--panel", str(panel_csv), "--out", str(tmp_path / "e.json"),
+             "--te-out", str(te_csv)]
+        )
+        text = te_csv.read_text()
+        renamed = tmp_path / "te_renamed.csv"
+        renamed.write_text(text.replace("\n3,", "\nx3,"))
+        extra = tmp_path / "te_extra.csv"
+        extra.write_text(text + "".join(f"99,{p},0.8\n" for p in range(9)))
+        for te, message in ((renamed, "lacks the panel's unit '3'"), (extra, "unit '99'")):
+            code = parse_and_dispatch(
+                ["test-spatial", "--panel", str(panel_csv), "--te", str(te),
+                 "--boot-k", "150", "--seed", "3", "--out", str(tmp_path / "s.json")]
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_power_grid_csv(self, tmp_path):
         grid = tmp_path / "grid.json"

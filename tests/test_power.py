@@ -69,6 +69,26 @@ class TestRunPowerCell:
         with pytest.raises(StfrontierError, match="replications errored"):
             run_power_cell(scenario, "spatial", 4, master_seed=6, boot_k=100, alpha=0.1)
 
+    def test_rate_counts_completed_replications_only(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from stfrontier import BootstrapError, power
+
+        calls = []
+
+        def flaky_test(te, spatial, config, covariates=None):
+            calls.append(None)
+            if len(calls) == 37:
+                raise BootstrapError("planted failure")
+            return SimpleNamespace(reject=len(calls) % 3 == 0)
+
+        monkeypatch.setattr(power, "test_constant_spatial", flaky_test)
+        cell = run_power_cell(tiny_scenario(), "spatial", 100, master_seed=7)
+        assert len(calls) == 100
+        assert cell.n_failures == 1
+        assert cell.n_rejections == 33
+        assert cell.rejection_rate == cell.n_rejections / 99
+
     def test_cell_key_excludes_seed(self):
         a = cell_key(tiny_scenario(seed=1), "temporal")
         b = cell_key(tiny_scenario(seed=2), "temporal")
@@ -86,6 +106,28 @@ class TestPowerCellInvariants:
                 n_rejections=3,
                 rejection_rate=0.5,
                 wall_time=0.0,
+            )
+
+    def test_rate_over_completed_replications(self):
+        cell = PowerCell(
+            scenario=tiny_scenario(),
+            test_kind="temporal",
+            n_reps=10,
+            n_rejections=3,
+            rejection_rate=3 / 9,
+            wall_time=0.0,
+            n_failures=1,
+        )
+        assert cell.rejection_rate == 3 / 9
+        with pytest.raises(ValidationError, match="n_failures"):
+            PowerCell(
+                scenario=tiny_scenario(),
+                test_kind="temporal",
+                n_reps=2,
+                n_rejections=0,
+                rejection_rate=0.0,
+                wall_time=0.0,
+                n_failures=2,
             )
 
 
