@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BootstrapError, EstimationError, ValidationError
-from .estimation import fit_frontier_gls
+from .estimation import fit_frontier_gls, least_squares
 from .frontier import te_to_logit
 from .rng import check_seed, substream
 from .types import PanelDataset
@@ -52,6 +52,9 @@ SIEVE_BURN_IN = 50
 #: Spectral radius beyond which a fitted AR recursion is rescaled before sieving.
 _STABILIZE_RADIUS = 0.999
 _STABILIZE_TARGET = 0.98
+
+#: Redraw rounds for rank-deficient case resamples before the test gives up.
+_MAX_RESAMPLE_RETRIES = 100
 
 #: Relative slack on interval limits, so that degenerate intervals from exact
 #: fits do not exclude the cross-block mean through rounding alone.
@@ -153,7 +156,9 @@ def ar_fit(series, p: int) -> ARFit:
     """Fit an AR(p) with intercept by conditional least squares.
 
     Residuals are centered to mean zero; mse is the regression mean squared
-    error with p+1 fitted parameters.
+    error with p+1 fitted parameters. The fit is one estimation.least_squares
+    call; a singular lag design raises EstimationError naming the collinear
+    columns (intercept, lag1, ..., lagp).
     """
     s = np.asarray(series, dtype=float).ravel()
     t = s.shape[0]
@@ -170,11 +175,8 @@ def ar_fit(series, p: int) -> ARFit:
         raise EstimationError("zero-variance series: no autocorrelation to estimate")
 
     design, target = _lag_design(s, p)
-    if np.linalg.matrix_rank(design) < p + 1 or np.linalg.cond(design) > 1e12:
-        raise EstimationError(
-            f"near-singular lag matrix for AR({p}); lags are collinear"
-        )
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+    names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
+    coeffs = least_squares(design, target, names, f"near-singular lag matrix for AR({p})")
     resid = target - design @ coeffs
     centered = resid - resid.mean()
     mse = float((resid**2).sum() / (resid.shape[0] - (p + 1)))
@@ -459,7 +461,9 @@ def fit_spatial_slice(te_row, w_slice, z_slice=None) -> np.ndarray:
     the spatial measures and, when given, the covariates, no intercept.
 
     The spatial coefficients come first, then the covariate ones. Leaving z
-    out when it correlates with w moves z*phi into the spatial slope.
+    out when it correlates with w moves z*phi into the spatial slope. The fit
+    is one estimation.least_squares call; a singular design raises
+    EstimationError naming the collinear w* and z* columns.
     """
     te = np.asarray(te_row, dtype=float).ravel()
     design = _slice_design(w_slice, z_slice)
@@ -473,11 +477,11 @@ def fit_spatial_slice(te_row, w_slice, z_slice=None) -> np.ndarray:
         raise ValidationError(
             f"technical efficiency outside (exp(-1), 1) at unit index {idx}: {te[idx]!r}"
         )
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise EstimationError("spatial design for the time slice is rank deficient")
-    response = te_to_logit(te)
-    coef, *_ = np.linalg.lstsq(design, response, rcond=None)
-    return np.asarray(coef, dtype=float)
+    q = 1 if np.ndim(w_slice) == 1 else np.shape(w_slice)[1]
+    names = [f"w{j + 1}" for j in range(q)] + [f"z{j + 1}" for j in range(design.shape[1] - q)]
+    return least_squares(
+        design, te_to_logit(te), names, "spatial design for the time slice is rank deficient"
+    )
 
 
 def _case_resample_slopes(
@@ -485,21 +489,20 @@ def _case_resample_slopes(
     design: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> np.ndarray:
     """First coefficient under k case resamples of the (design row, response) pairs.
 
     A resample's normal equations are count-weighted sums of the per-row
     outer products, so each round is two small matrix products instead of a
     gather of k copies of the design. Rank-deficient resamples are redrawn,
-    up to max_retries rounds."""
+    up to _MAX_RESAMPLE_RETRIES rounds."""
     n, q = design.shape
     outer = (design[:, :, None] * design[:, None, :]).reshape(n, q * q)
     cross = design * response[:, None]
     idx = rng.integers(0, n, size=(k, n))
     slopes = np.empty(k)
     pending = np.arange(k)
-    for _ in range(max_retries + 1):
+    for _ in range(_MAX_RESAMPLE_RETRIES + 1):
         m = pending.size
         flat = (idx[pending] + n * np.arange(m)[:, None]).ravel()
         counts = np.bincount(flat, minlength=m * n).reshape(m, n).astype(float)
@@ -515,7 +518,7 @@ def _case_resample_slopes(
             return slopes
         idx[pending] = rng.integers(0, n, size=(pending.size, n))
     raise BootstrapError(
-        f"case resampling produced rank-deficient draws {max_retries} times in a row"
+        f"case resampling produced rank-deficient draws {_MAX_RESAMPLE_RETRIES} times in a row"
     )
 
 

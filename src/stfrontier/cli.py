@@ -25,7 +25,7 @@ from .assumption_tests import (
 from .errors import BootstrapError, DataError, EstimationError, StfrontierError, ValidationError
 from .estimation import estimate_model
 from .power import run_grid
-from .rng import MAX_SEED
+from .rng import MAX_SEED, check_seed
 from .simulate import simulate_panel
 
 EXIT_OK = 0
@@ -83,11 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_seed(given: int | None) -> int:
-    if given is not None:
-        if not 0 <= given <= MAX_SEED:
-            raise ValidationError(f"seed must lie in [0, 2**64), got {given}")
-        return given
-    return secrets.randbelow(MAX_SEED + 1)
+    return secrets.randbelow(MAX_SEED + 1) if given is None else check_seed(given)
 
 
 def _meta(args_line: str, seed: int) -> dict:

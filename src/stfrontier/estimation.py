@@ -11,6 +11,9 @@ Three steps, run once (no outer loop):
    through the logit and regressed on (w, z) without intercept.
 3. estimate_model: technical efficiency is scored as
    exp(-logistic(w gamma_hat + z phi_hat)).
+
+These two fits, and the AR and spatial-slice fits of the homogeneity tests,
+are solved by least_squares, which also judges whether a design is singular.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit, logit
+from scipy.special import logit
 
 from .errors import EstimationError
+from .frontier import inefficiency_mean, technical_efficiency
 from .types import PanelDataset
 
 #: Clamp width for the logit transform of residual inefficiencies.
@@ -34,24 +38,27 @@ _DEGENERATE_VAR = 1e-12
 CLAMP_FLAG_FRACTION = 0.2
 
 
-def _column_names(panel: PanelDataset, with_intercept: bool = True) -> list[str]:
-    names = ["intercept"] if with_intercept else []
-    names += [f"x{k + 1}" for k in range(panel.n_inputs)]
-    return names
+#: Condition number s_max/s_min above which a design counts as singular.
+_MAX_CONDITION = 1e12
 
 
-def _check_full_rank(design: np.ndarray, names: list[str], context: str) -> None:
-    """Raise naming the dependent columns when the design is rank deficient."""
-    rank = np.linalg.matrix_rank(design)
-    if rank >= design.shape[1]:
-        return
-    # pivoted QR orders columns by independence; the trailing ones are the culprits
-    _, _, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    collinear = sorted(names[j] for j in pivots[rank:])
-    raise EstimationError(
-        f"{context} design matrix is rank deficient; collinear columns: "
-        + ", ".join(collinear)
-    )
+def least_squares(
+    design: np.ndarray, response: np.ndarray, names: list[str], singular: str
+) -> np.ndarray:
+    """Coefficients of ``response`` on ``design`` from one lstsq call.
+
+    The design is singular when lstsq's own rank is below the column count or
+    s_max/s_min exceeds _MAX_CONDITION. Only then does a pivoted QR order the
+    columns by independence; the EstimationError, whose text starts with
+    ``singular``, names the trailing ones.
+    """
+    coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=None)
+    rank = min(rank, int(np.count_nonzero(sv * _MAX_CONDITION >= sv[0])))
+    if rank < design.shape[1]:
+        _, _, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
+        collinear = sorted(names[j] for j in pivots[rank:])
+        raise EstimationError(f"{singular}; collinear columns: " + ", ".join(collinear))
+    return coef
 
 
 @dataclass(frozen=True)
@@ -119,10 +126,10 @@ def fit_frontier_gls(
     design = np.concatenate(
         [np.ones((n, t, 1)), panel.log_inputs], axis=2
     )  # (N, T, P+1)
-    pooled = design.reshape(n * t, -1)
-    _check_full_rank(pooled, _column_names(panel), "frontier")
-
-    coef, *_ = np.linalg.lstsq(pooled, y.ravel(), rcond=None)
+    names = ["intercept"] + [f"x{k + 1}" for k in range(panel.n_inputs)]
+    coef = least_squares(
+        design.reshape(n * t, -1), y.ravel(), names, "frontier design matrix is rank deficient"
+    )
     rho = 0.0
     converged = False
     iterations = 0
@@ -165,17 +172,13 @@ def fit_frontier_gls(
 
 
 def fit_efficiency_glm(
-    frontier: FrontierFit,
-    panel: PanelDataset,
-    *,
-    include_intercept: bool = False,
+    frontier: FrontierFit, panel: PanelDataset
 ) -> tuple[tuple[float, ...], tuple[float, ...], int]:
     """Estimate (gamma, phi) from the negated step-1 residuals.
 
     u* = -u_hat estimates the inefficiency up to noise; values are clamped
-    into [CLAMP_DELTA, 1-CLAMP_DELTA] before the logit. Returns
-    (gamma_hat, phi_hat, clamp_count). With ``include_intercept`` an
-    intercept column is added to the regression and absorbed (not returned).
+    into [CLAMP_DELTA, 1-CLAMP_DELTA] before the logit, which is regressed on
+    (w, z) without intercept. Returns (gamma_hat, phi_hat, clamp_count).
     """
     u_star = -frontier.residuals_u
     lo, hi = CLAMP_DELTA, 1.0 - CLAMP_DELTA
@@ -187,28 +190,19 @@ def fit_efficiency_glm(
         )
 
     q, r = panel.n_spatial, panel.n_covariates
-    blocks = [panel.spatial.reshape(-1, q), panel.covariates.reshape(-1, r)]
+    design = np.hstack([panel.spatial.reshape(-1, q), panel.covariates.reshape(-1, r)])
     names = [f"w{j + 1}" for j in range(q)] + [f"z{j + 1}" for j in range(r)]
-    if include_intercept:
-        blocks.insert(0, np.ones((response.size, 1)))
-        names.insert(0, "intercept")
-    design = np.hstack(blocks)
-    _check_full_rank(design, names, "efficiency")
-
-    coef, *_ = np.linalg.lstsq(design, response, rcond=None)
-    offset = 1 if include_intercept else 0
-    gamma_hat = tuple(float(c) for c in coef[offset : offset + q])
-    phi_hat = tuple(float(c) for c in coef[offset + q : offset + q + r])
+    coef = least_squares(design, response, names, "efficiency design matrix is rank deficient")
+    gamma_hat = tuple(float(c) for c in coef[:q])
+    phi_hat = tuple(float(c) for c in coef[q:])
     return gamma_hat, phi_hat, clamp_count
 
 
 def predict_te(panel: PanelDataset, gamma_hat, phi_hat) -> np.ndarray:
     """TE matrix exp(-logistic(w gamma + z phi)), kept strictly inside
     (exp(-1), 1) even when the logistic saturates in floats."""
-    linear = panel.spatial @ np.asarray(gamma_hat, dtype=float)
-    linear += panel.covariates @ np.asarray(phi_hat, dtype=float)
-    u_pred = np.clip(expit(linear), 1e-12, 1.0 - 1e-12)
-    return np.exp(-u_pred)
+    u_pred = inefficiency_mean(panel.spatial, panel.covariates, gamma_hat, phi_hat)
+    return technical_efficiency(np.clip(u_pred, 1e-12, 1.0 - 1e-12))
 
 
 def estimate_model(panel: PanelDataset) -> EstimationResult:

@@ -19,38 +19,44 @@ from .errors import ValidationError
 TE_LOWER = math.exp(-1.0)
 
 
-def cobb_douglas_log(log_inputs_row, beta0: float, beta) -> float:
-    """Log frontier output: beta0 + sum_k beta_k * ln x_k."""
-    x = np.asarray(log_inputs_row, dtype=float)
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def cobb_douglas_log(log_inputs, beta0: float, beta):
+    """Log frontier output beta0 + sum_k beta_k * ln x_k over the last axis of
+    ``log_inputs``; leading axes are kept, and one row gives a float."""
+    x = np.asarray(log_inputs, dtype=float)
     b = np.asarray(beta, dtype=float)
-    if x.shape != b.shape:
+    if x.shape[-1:] != b.shape:
         raise ValidationError(
             f"log-input dimension mismatch: expected P={b.shape} elasticities, "
             f"got inputs of shape {x.shape}"
         )
     if not (np.isfinite(x).all() and np.isfinite(b).all() and np.isfinite(beta0)):
         raise ValidationError("cobb_douglas_log requires finite inputs")
-    return float(beta0 + x @ b)
+    return _scalar_or_array(beta0 + x @ b)
 
 
-def inefficiency_mean(w_row, z_row, gamma, phi) -> float:
-    """Deterministic inefficiency: logistic(w.gamma + z.phi), strictly in (0,1)."""
-    w = np.asarray(w_row, dtype=float)
-    z = np.asarray(z_row, dtype=float)
+def inefficiency_mean(w, z, gamma, phi):
+    """Deterministic inefficiency logistic(w.gamma + z.phi), strictly in (0,1),
+    over the last axes of ``w`` and ``z``; leading axes are kept."""
+    w = np.asarray(w, dtype=float)
+    z = np.asarray(z, dtype=float)
     g = np.asarray(gamma, dtype=float)
     p = np.asarray(phi, dtype=float)
-    if w.shape != g.shape:
+    if w.shape[-1:] != g.shape:
         raise ValidationError(
             f"spatial dimension mismatch: expected Q={g.shape}, got {w.shape}"
         )
-    if z.shape != p.shape:
+    if z.shape[-1:] != p.shape:
         raise ValidationError(
             f"covariate dimension mismatch: expected R={p.shape}, got {z.shape}"
         )
-    for arr, name in ((w, "w_row"), (z, "z_row"), (g, "gamma"), (p, "phi")):
+    for arr, name in ((w, "w"), (z, "z"), (g, "gamma"), (p, "phi")):
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} must be finite")
-    return float(expit(w @ g + z @ p))
+    return _scalar_or_array(expit(w @ g + z @ p))
 
 
 def technical_efficiency(u_pred):
@@ -61,8 +67,7 @@ def technical_efficiency(u_pred):
         raise ValidationError(
             f"inefficiency prediction {bad!r} outside (0, 1); clamp before scoring"
         )
-    te = np.exp(-u)
-    return float(te) if np.isscalar(u_pred) else te
+    return _scalar_or_array(np.exp(-u))
 
 
 def te_to_logit(te):
@@ -74,5 +79,4 @@ def te_to_logit(te):
             f"technical efficiency {bad!r} outside (exp(-1), 1); cannot invert"
         )
     u = -np.log(t)
-    out = np.log(u) - np.log1p(-u)
-    return float(out) if np.isscalar(te) else out
+    return _scalar_or_array(np.log(u) - np.log1p(-u))

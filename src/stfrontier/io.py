@@ -28,10 +28,13 @@ from .power import GridSpec, PowerTable
 from .types import ModelParams, PanelDataset, Scenario
 
 
+def _versioned(meta: dict | None) -> dict:
+    """The meta record: version first, then the caller's keys in order."""
+    return {"version": __version__, **(meta or {})}
+
+
 def _meta_lines(meta: dict | None) -> list[str]:
-    """'# key: value' lines, version first, then the caller's keys in order."""
-    meta = {"version": __version__, **(meta or {})}
-    return [f"# {key}: {value}" for key, value in meta.items()]
+    return [f"# {key}: {value}" for key, value in _versioned(meta).items()]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -47,8 +50,26 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_long_csv(
+    path: str, meta: dict | None, unit_ids, period_ids, columns: dict[str, np.ndarray]
+) -> None:
+    """One row per (unit, period), units outer; each column is an (N, T) array
+    whose values are written as repr(float)."""
+    n, t = len(unit_ids), len(period_ids)
+    cells = []
+    for name, values in columns.items():
+        values = np.asarray(values, dtype=float)
+        if values.shape != (n, t):
+            raise ValidationError(f"column {name} has shape {values.shape}, not ({n}, {t})")
+        cells.append(list(map(repr, values.ravel().tolist())))
+    units = [label for label in map(str, unit_ids) for _ in range(t)]
+    periods = [str(period) for period in period_ids] * n
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in _meta_lines(meta))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["unit", "period", *columns])
+    writer.writerows(zip(units, periods, *cells))
+    _atomic_write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -57,27 +78,15 @@ def _fmt(value: float) -> str:
 
 def write_panel_csv(panel: PanelDataset, path: str, meta: dict | None = None) -> None:
     """Long format: one row per (unit, period); y is written on the raw scale."""
-    p, q, r = panel.n_inputs, panel.n_spatial, panel.n_covariates
-    header = (
-        ["unit", "period", "y"]
-        + [f"x{j + 1}" for j in range(p)]
-        + [f"w{j + 1}" for j in range(q)]
-        + [f"z{j + 1}" for j in range(r)]
-    )
-    buf = io.StringIO()
-    for line in _meta_lines(meta):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    y = np.exp(panel.log_output)
-    for i, unit in enumerate(panel.unit_ids):
-        for t, period in enumerate(panel.period_ids):
-            row = [str(unit), str(period), _fmt(y[i, t])]
-            row += [_fmt(v) for v in np.exp(panel.log_inputs[i, t])]
-            row += [_fmt(v) for v in panel.spatial[i, t]]
-            row += [_fmt(v) for v in panel.covariates[i, t]]
-            writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+    columns = {"y": np.exp(panel.log_output)}
+    for prefix, block in (
+        ("x", np.exp(panel.log_inputs)),
+        ("w", panel.spatial),
+        ("z", panel.covariates),
+    ):
+        for j in range(block.shape[2]):
+            columns[f"{prefix}{j + 1}"] = block[..., j]
+    _write_long_csv(path, meta, panel.unit_ids, panel.period_ids, columns)
 
 
 _HEADER_RE = re.compile(r"^(x|w|z)(\d+)$")
@@ -223,15 +232,7 @@ def read_panel_csv(path: str) -> PanelDataset:
 def write_te_csv(
     te: np.ndarray, unit_ids, period_ids, path: str, meta: dict | None = None
 ) -> None:
-    buf = io.StringIO()
-    for line in _meta_lines(meta):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit", "period", "te"])
-    for i, unit in enumerate(unit_ids):
-        for t, period in enumerate(period_ids):
-            writer.writerow([str(unit), str(period), _fmt(te[i, t])])
-    _atomic_write(path, buf.getvalue())
+    _write_long_csv(path, meta, unit_ids, period_ids, {"te": te})
 
 
 def read_te_csv(path: str) -> tuple[np.ndarray, tuple, tuple]:
@@ -299,7 +300,7 @@ def read_scenario_json(path: str) -> Scenario:
 def write_scenario_json(scenario: Scenario, path: str, meta: dict | None = None) -> None:
     payload: dict = {}
     if meta is not None:
-        payload["meta"] = {"version": __version__, **meta}
+        payload["meta"] = _versioned(meta)
     payload.update(scenario_to_dict(scenario))
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
@@ -352,7 +353,7 @@ def read_grid_json(path: str) -> GridSpec:
 def estimation_report_dict(result: EstimationResult, meta: dict | None = None) -> dict:
     frontier = result.frontier
     return {
-        "meta": {"version": __version__, **(meta or {})},
+        "meta": _versioned(meta),
         "beta0_hat": frontier.beta0_hat,
         "beta_hat": list(frontier.beta_hat),
         "rho_hat": frontier.rho_hat,
@@ -368,7 +369,7 @@ def estimation_report_dict(result: EstimationResult, meta: dict | None = None) -
 
 def test_report_dict(report: TestReport, meta: dict | None = None) -> dict:
     return {
-        "meta": {"version": __version__, **(meta or {})},
+        "meta": _versioned(meta),
         "test_kind": report.test_kind,
         "reference_value": report.reference_value,
         "n_failing": report.n_failing,

@@ -5,29 +5,28 @@ test kind; the cell is replicated n_reps times with independent derived
 seeds, and the rejection rate is recorded. Cells and replications may run in
 any order or degree of parallelism without changing the output: every
 replication's seed is a stable hash of (master_seed, cell key, index).
+run_grid runs its cells on a thread pool, one worker per CPU by default; on
+the temporal test, two workers measured faster than one (ledger D7 in
+CHANGES.md).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
-
-import numpy as np
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 from .assumption_tests import TestConfig, test_constant_spatial, test_constant_temporal
 from .errors import StfrontierError, ValidationError
 from .estimation import estimate_model
+from .frontier import technical_efficiency
 from .rng import check_seed, derive_seed
 from .simulate import simulate_panel
 from .types import DOMINANCE_SHARES, ModelParams, Scenario
 
 TEST_KINDS = ("temporal", "spatial")
 TE_SOURCES = ("true", "estimated")
-
-#: Environment variable read by run_grid for its worker count.
-THREADS_ENV = "STFRONTIER_THREADS"
 
 #: Share of errored replications beyond which a cell is abandoned.
 _MAX_FAILURE_SHARE = 0.01
@@ -130,7 +129,10 @@ def run_power_cell(
             if test_kind == "temporal":
                 report = test_constant_temporal(panel, config)
             else:
-                te = np.exp(-true_u) if te_source == "true" else estimate_model(panel).te
+                if te_source == "true":
+                    te = technical_efficiency(true_u)
+                else:
+                    te = estimate_model(panel).te
                 report = test_constant_spatial(
                     te, panel.spatial, config, covariates=panel.covariates
                 )
@@ -246,16 +248,6 @@ class PowerTable:
         return "\n".join(lines)
 
 
-def _worker_count(n_workers: int | None) -> int:
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def run_grid(
     grid_spec: GridSpec,
     n_reps: int,
@@ -263,7 +255,10 @@ def run_grid(
     *,
     n_workers: int | None = None,
 ) -> PowerTable:
-    """Run every cell of the grid; output is identical for any worker count."""
+    """Run every cell of the grid; output is identical for any worker count.
+
+    ``n_workers=None`` runs one thread per CPU, at most one per cell.
+    """
     master_seed = check_seed(master_seed, "master_seed")
     cells = list(grid_spec.cells())
     if not cells:
@@ -283,7 +278,10 @@ def run_grid(
             te_source=grid_spec.te_source,
         )
 
-    workers = _worker_count(n_workers)
+    if n_workers is None:
+        workers = min(len(cells), os.cpu_count() or 1)
+    else:
+        workers = max(1, int(n_workers))
     if workers == 1:
         results = [_run(item) for item in cells]
     else:

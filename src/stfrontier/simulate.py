@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ValidationError
+from .frontier import cobb_douglas_log
 from .rng import substream
 from .types import DOMINANCE_SHARES, ModelParams, PanelDataset, Scenario
 
@@ -49,10 +50,11 @@ def _standardize(arr: np.ndarray) -> np.ndarray:
 
 def mean_distance_profile(rng: np.random.Generator, n_units: int) -> np.ndarray:
     """Standardized mean pairwise distances of uniform points on the unit square."""
-    coords = rng.uniform(size=(n_units, 2))
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    mean_dist = dist.sum(axis=1) / (n_units - 1)
+    x, y = rng.uniform(size=(n_units, 2)).T
+    dist, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
+    dist *= dist  # squared and summed in place: two n x n buffers in all
+    dist += np.square(dy, out=dy)
+    mean_dist = np.sqrt(dist, out=dist).sum(axis=1) / (n_units - 1)
     return _standardize(mean_dist)
 
 
@@ -149,15 +151,10 @@ def simulate_panel(
 
     rho_by_unit = np.full(n, params.rho)
     if scenario.n_contaminated_units:
-        rho_alt = params.rho * (1.0 + scenario.temporal_shift_r)
-        if abs(rho_alt) >= 1:
-            raise ValidationError(
-                f"contaminated rho = {rho_alt:.6g} falls outside (-1, 1)"
-            )
         picked = substream(scenario.seed, "contaminated-units").choice(
             n, size=scenario.n_contaminated_units, replace=False
         )
-        rho_by_unit[picked] = rho_alt
+        rho_by_unit[picked] = params.rho * (1.0 + scenario.temporal_shift_r)
 
     gamma_by_period = np.full(t, gamma_eff)
     if scenario.n_contaminated_periods:
@@ -170,7 +167,7 @@ def simulate_panel(
     predictor = w_profile[:, None] * gamma_by_period[None, :] + phi_eff * z
     u = _draw_inefficiency(scenario, expit(predictor))
 
-    log_output = params.beta0 + log_inputs @ np.asarray(params.beta) + v - u
+    log_output = cobb_douglas_log(log_inputs, params.beta0, params.beta) + v - u
     panel = PanelDataset(
         log_output=log_output,
         log_inputs=log_inputs,

@@ -69,6 +69,11 @@ class TestArFit:
         with pytest.raises(EstimationError, match="near-singular lag matrix"):
             ar_fit(series, 2)
 
+    def test_collinear_lags_named(self):
+        series = np.tile([0.0, 1.0], 8)
+        with pytest.raises(EstimationError, match=r"collinear columns: .*lag\d"):
+            ar_fit(series, 2)
+
     def test_mse_positive_and_head_stored(self):
         series = make_ar1(0.5, 30, seed=10)
         fit = ar_fit(series, 2)

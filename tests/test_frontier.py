@@ -42,6 +42,15 @@ class TestCobbDouglas:
             cobb_douglas_log([np.nan], 0.5, [0.3])
 
 
+    def test_panel_array_equals_per_row_calls(self):
+        rng = np.random.default_rng(21)
+        x, beta = rng.normal(size=(4, 5, 3)), rng.normal(size=3)
+        rows = [[cobb_douglas_log(x[i, t], 0.4, beta) for t in range(5)] for i in range(4)]
+        # a row dot and the batched matmul may add the P products in another
+        # order; each O(1) sum of P+1 terms then differs by a few ulp
+        np.testing.assert_allclose(cobb_douglas_log(x, 0.4, beta), rows, rtol=0, atol=1e-14)
+
+
 class TestInefficiencyMean:
     def test_zero_predictor_gives_half(self):
         assert inefficiency_mean([0.0], [0.0], [1.0], [1.0]) == pytest.approx(0.5, abs=1e-15)
@@ -58,6 +67,17 @@ class TestInefficiencyMean:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="covariate dimension"):
             inefficiency_mean([0.0], [0.0, 1.0], [1.0], [1.0])
+
+    def test_panel_array_equals_per_row_calls(self):
+        rng = np.random.default_rng(22)
+        w, z = rng.normal(size=(4, 5, 2)), rng.normal(size=(4, 5, 1))
+        gamma, phi = [0.7, -0.2], [0.5]
+        rows = [
+            [inefficiency_mean(w[i, t], z[i, t], gamma, phi) for t in range(5)]
+            for i in range(4)
+        ]
+        # the sums inside the logistic may differ by a few ulp, as above
+        np.testing.assert_allclose(inefficiency_mean(w, z, gamma, phi), rows, rtol=0, atol=1e-14)
 
 
 class TestTechnicalEfficiency:

@@ -4,6 +4,7 @@ from scipy.special import expit
 
 from stfrontier import (
     BootstrapError,
+    EstimationError,
     PanelDataset,
     Scenario,
     TestConfig,
@@ -164,6 +165,18 @@ class TestSpatialSlice:
         te = np.full(10, 0.8)
         with pytest.raises(Exception, match="rank deficient"):
             fit_spatial_slice(te, np.zeros((10, 1)))
+
+    def test_full_rank_ill_conditioned_design_raises(self):
+        # z is w up to a 3e-13 perturbation: the rank test alone passes it
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(50, 1))
+        z = w + 3e-13 * rng.normal(size=(50, 1))
+        design = np.hstack([w, z])
+        assert np.linalg.matrix_rank(design) == 2
+        assert np.linalg.cond(design) > 1e12
+        te = 0.8 + 0.01 * rng.uniform(size=50)
+        with pytest.raises(EstimationError, match=r"collinear columns: [wz]1"):
+            fit_spatial_slice(te, w, z)
 
 
 class TestSpatial:

@@ -182,12 +182,6 @@ class TestRunGrid:
         threaded = run_grid(grid, 2, master_seed=12, n_workers=3)
         assert serial.csv_rows() == threaded.csv_rows()
 
-    def test_thread_env_honored_without_changing_results(self, monkeypatch):
-        grid = tiny_grid()
-        base = run_grid(grid, 2, master_seed=13)
-        monkeypatch.setenv("STFRONTIER_THREADS", "2")
-        assert run_grid(grid, 2, master_seed=13).csv_rows() == base.csv_rows()
-
     def test_summary_text_mentions_cells(self):
         table = run_grid(tiny_grid(), 2, master_seed=14)
         text = table.summary_text()
