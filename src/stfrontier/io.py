@@ -2,20 +2,25 @@
 
 Every writer embeds the tool version, the issuing command, and the effective
 seed (as '#' comment lines in CSV, a "meta" object in JSON) and writes
-atomically (temp file + rename). No timestamps, so identical runs produce
-identical bytes.
+atomically (temp file + rename) with the file mode a plain open() would give.
+No timestamps, so identical runs produce identical bytes.
+
+Both long-CSV readers share one parser: it reads the file once, in blocks of
+lines, and parses each block with one np.loadtxt call; every row check is an
+array mask. The long-CSV writer formats and writes one block of units at a
+time, so neither direction holds the whole text in memory.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 import re
+import stat
 import tempfile
-from array import array
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -37,12 +42,25 @@ def _meta_lines(meta: dict | None) -> list[str]:
     return [f"# {key}: {value}" for key, value in _versioned(meta).items()]
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextmanager
+def _atomic_open(path: str):
+    """A text handle on a temp file that replaces `path` when the block exits.
+
+    The file gets the mode the target already has, or 0o666 less the umask
+    for a new file; mkstemp alone would leave it at 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,26 +68,56 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)
+
+
+# Block sizes for writing and reading long CSVs: they bound the memory that a
+# write or a parse holds beyond its input or its result.
+_WRITE_BLOCK_ROWS = 8192
+_READ_BLOCK_CHARS = 1 << 20
+
+
+class _Echo:
+    """A sink whose write() returns its text; csv.writer.writerow returns
+    what write() returns, so it hands back each formatted row."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_fields(labels) -> list[str]:
+    """Each label as csv.writer writes it inside a row, quoted where needed."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    return [writer.writerow(("", str(label)))[1:-1] for label in labels]
+
+
 def _write_long_csv(
     path: str, meta: dict | None, unit_ids, period_ids, columns: dict[str, np.ndarray]
 ) -> None:
     """One row per (unit, period), units outer; each column is an (N, T) array
-    whose values are written as repr(float)."""
+    whose values are written as repr(float), one block of units at a time."""
     n, t = len(unit_ids), len(period_ids)
-    cells = []
-    for name, values in columns.items():
-        values = np.asarray(values, dtype=float)
-        if values.shape != (n, t):
-            raise ValidationError(f"column {name} has shape {values.shape}, not ({n}, {t})")
-        cells.append(list(map(repr, values.ravel().tolist())))
-    units = [label for label in map(str, unit_ids) for _ in range(t)]
-    periods = [str(period) for period in period_ids] * n
-    buf = io.StringIO()
-    buf.writelines(line + "\n" for line in _meta_lines(meta))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit", "period", *columns])
-    writer.writerows(zip(units, periods, *cells))
-    _atomic_write(path, buf.getvalue())
+    values = []
+    for name, column in columns.items():
+        column = np.asarray(column, dtype=float)
+        if column.shape != (n, t):
+            raise ValidationError(f"column {name} has shape {column.shape}, not ({n}, {t})")
+        values.append(column)
+    units, periods = _csv_fields(unit_ids), _csv_fields(period_ids)
+    block_units = max(1, _WRITE_BLOCK_ROWS // max(t, 1))
+    with _atomic_open(path) as handle:
+        handle.writelines(line + "\n" for line in _meta_lines(meta))
+        csv.writer(handle, lineterminator="\n").writerow(["unit", "period", *columns])
+        for start in range(0, n, block_units):
+            stop = min(start + block_units, n)
+            block = np.stack([column[start:stop] for column in values], axis=-1)
+            cells = map(repr, block.ravel().tolist())
+            # zipping one iterator with itself groups each row's cells
+            rows = map(",".join, zip(*[cells] * len(values)))
+            keys = (f"{unit},{period}," for unit in units[start:stop] for period in periods)
+            handle.write("".join(key + row + "\n" for key, row in zip(keys, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,51 +170,137 @@ def _parse_header(fields: list[str]) -> tuple[int, int, int]:
     return counts["x"], counts["w"], counts["z"]
 
 
-class _Cells:
-    """The (unit, period) cells of a long-format CSV.
+def _is_data(line: str) -> bool:
+    """Whether a line is neither blank nor a comment, where a comment is a line
+    whose first CSV field, less leading blanks, starts with '#'."""
+    if line == "\n":
+        return False
+    if "#" not in line:
+        return True
+    head = line[1:] if line.startswith('"') else line
+    return not head.lstrip().startswith("#")
+
+
+def _loadtxt(lines, dtype) -> np.ndarray:
+    if not lines:
+        return np.empty(0, dtype)
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, dtype=dtype, ndmin=1)
+
+
+def _parses(line: str, dtype) -> bool:
+    """Whether loadtxt reads the line as one row that closes its quotes.
+
+    loadtxt reads its lines as one stream, so a quoted field left open runs
+    on into the next line; the line is therefore read twice over.
+    """
+    try:
+        return len(_loadtxt([line, line], dtype)) == 2
+    except ValueError:
+        return False
+
+
+def _load_rows(handle, number: int, width: int):
+    """Parse the data lines after file line `number` with np.loadtxt, one
+    block of about _READ_BLOCK_CHARS characters per call.
+
+    Returns the (M, width) values, the (2, M) unit and period index of each
+    row, the unit and period labels in first-seen order and each row's file
+    line number. The last item is the first (number, line) that loadtxt
+    rejects, or None; parsing stops before it.
+    """
+    dtype = [("unit", object), ("period", object), ("values", float, (width,))]
+    labels: tuple[dict, dict] = ({}, {})  # label -> index, in first-seen order
+    values, codes = [np.empty((0, width))], [np.empty((2, 0), np.intp)]
+    numbers = [np.empty(0, np.int64)]
+    bad = None
+    while bad is None and (chunk := handle.readlines(_READ_BLOCK_CHARS)):
+        keep = [i for i, line in enumerate(chunk) if _is_data(line)]
+        lines = [chunk[i] for i in keep]
+        block_numbers = np.array(keep, dtype=np.int64) + (number + 1)
+        number += len(chunk)
+        try:
+            rows = _loadtxt(lines, dtype)
+        except ValueError:
+            rows = None
+        if rows is None or len(rows) != len(lines):
+            k = next(i for i, line in enumerate(lines) if not _parses(line, dtype))
+            bad = int(block_numbers[k]), lines[k]
+            block_numbers, rows = block_numbers[:k], _loadtxt(lines[:k], dtype)
+        numbers.append(block_numbers)
+        values.append(rows["values"])
+        block_codes = np.empty((2, len(rows)), np.intp)
+        for index, column, out in zip(labels, ("unit", "period"), block_codes):
+            found = rows[column].tolist()
+            for label in dict.fromkeys(found):
+                index.setdefault(label, len(index))
+            out[:] = np.fromiter(map(index.__getitem__, found), np.intp, len(found))
+        codes.append(block_codes)
+    units, periods = map(tuple, labels)
+    return (
+        np.concatenate(values),
+        np.hstack(codes),
+        units,
+        periods,
+        np.concatenate(numbers),
+        bad,
+    )
+
+
+def _malformed(line: str, width: int) -> str:
+    """The error for a data line that np.loadtxt rejects, worded as float() words it."""
+    reader = csv.reader([line, "\n"])
+    fields = next(reader)
+    if reader.line_num > 1:
+        return "quoted field not closed on its line; a field may not span lines"
+    if len(fields) != 2 + width:
+        return f"expected {2 + width} fields, got {len(fields)}"
+    # each value alone, quoted so that loadtxt reads exactly the field's text
+    field = next(v for v in fields[2:] if not _parses('"' + v.replace('"', '""') + '"', float))
+    return f"malformed number: could not convert string to float: {field!r}"
+
+
+def _read_long_csv(path: str, what: str, read_header, row_checks, duplicate):
+    """Parse a long CSV into an (N, T, width) array plus unit and period labels.
 
     Units and periods keep the order in which they first appear, so rows may
-    come in any order. Values are packed as they arrive, so no Python object
-    outlives its row.
+    come in any order. `read_header(fields)` validates the header and returns
+    the number of value columns. `row_checks(values)` gives (mask, describe)
+    pairs in the order a row is checked, where `describe(row)` words the
+    error; `duplicate(unit, period)` words the duplicate-cell error. An error
+    names the file line of the first row that fails any check.
     """
-
-    def __init__(self, width: int):
-        self.units: dict[str, int] = {}  # label -> index
-        self.periods: dict[str, int] = {}
-        self._seen: set[tuple[int, int]] = set()
-        self._unit_pos, self._period_pos = array("q"), array("q")
-        self._values = array("d")
-        self._width = width
-
-    def add(self, unit: str, period: str, values) -> bool:
-        """Store one cell's values; False when the cell is already stored."""
-        key = (
-            self.units.setdefault(unit, len(self.units)),
-            self.periods.setdefault(period, len(self.periods)),
+    with open(path, encoding="utf-8-sig") as handle:
+        for number, line in enumerate(handle, start=1):
+            if _is_data(line):
+                break
+        else:
+            raise DataError(f"{path}: no header row found")
+        width = read_header(next(csv.reader([line])))
+        values, codes, units, periods, numbers, bad = _load_rows(handle, number, width)
+    n, t = len(units), len(periods)
+    cell = codes[0] * t + codes[1]
+    index = np.arange(len(cell))
+    first = np.full(n * t, -1)
+    first[cell[::-1]] = index[::-1]  # the last write wins: each cell's first row
+    checks = [
+        *row_checks(values),
+        (first[cell] != index, lambda i: duplicate(units[codes[0, i]], periods[codes[1, i]])),
+    ]
+    failing = np.array([mask for mask, _ in checks])
+    if failing.any():
+        row = int(failing.any(axis=0).argmax())
+        describe = checks[int(failing[:, row].argmax())][1]
+        raise DataError(f"row {numbers[row]}: {describe(row)}")
+    if bad is not None:
+        raise DataError(f"row {bad[0]}: {_malformed(bad[1], width)}")
+    if (first < 0).any():
+        i, j = divmod(int((first < 0).argmax()), t)
+        raise DataError(
+            f"unbalanced {what}: missing cell (unit {units[i]}, period {periods[j]})"
         )
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._unit_pos.append(key[0])
-        self._period_pos.append(key[1])
-        self._values.extend(values)
-        return True
-
-    def grid(self, what: str) -> np.ndarray:
-        """(N, T, width) array of the values; raises naming the first missing cell."""
-        n, t = len(self.units), len(self.periods)
-        if len(self._seen) != n * t:
-            for unit, i in self.units.items():
-                for period, j in self.periods.items():
-                    if (i, j) not in self._seen:
-                        raise DataError(
-                            f"unbalanced {what}: missing cell (unit {unit}, period {period})"
-                        )
-        out = np.empty((n, t, self._width))
-        rows = np.frombuffer(self._unit_pos, dtype=np.int64)
-        cols = np.frombuffer(self._period_pos, dtype=np.int64)
-        out[rows, cols] = np.frombuffer(self._values, dtype=float).reshape(-1, self._width)
-        return out
+    table = np.empty((n, t, width))
+    table.reshape(n * t, width)[cell] = values
+    return table, units, periods
 
 
 def read_panel_csv(path: str) -> PanelDataset:
@@ -175,53 +309,40 @@ def read_panel_csv(path: str) -> PanelDataset:
     Units and periods keep the order in which they first appear; the rows
     may come in any order.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = None
-        p = q = r = 0
-        for lineno, fields in enumerate(reader, start=1):
-            if not fields or fields[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = fields
-                p, q, r = _parse_header(fields)
-                cells = _Cells(1 + p + q + r)
-                continue
-            if len(fields) != 3 + p + q + r:
-                raise DataError(
-                    f"row {lineno}: expected {3 + p + q + r} fields, got {len(fields)}"
-                )
-            unit, period = fields[0], fields[1]
-            try:
-                values = [float(v) for v in fields[2:]]
-            except ValueError as err:
-                raise DataError(f"row {lineno}: malformed number: {err}") from err
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"row {lineno}: non-finite value")
-            if values[0] <= 0:
-                raise DataError(
-                    f"row {lineno}: output must be positive to take logs, got y={values[0]!r}"
-                )
-            for j, x_val in enumerate(values[1 : 1 + p], start=1):
-                if x_val <= 0:
-                    raise DataError(
-                        f"row {lineno}: input x{j} must be positive to take logs, "
-                        f"got {x_val!r}"
-                    )
-            values[0] = math.log(values[0])
-            if not cells.add(unit, period, values):
-                raise DataError(f"row {lineno}: duplicate cell (unit {unit}, period {period})")
-    if header is None:
-        raise DataError(f"{path}: no header row found")
+    p = q = r = 0
 
-    table = cells.grid("panel")
+    def read_header(fields):
+        nonlocal p, q, r
+        p, q, r = _parse_header(fields)
+        return 1 + p + q + r
+
+    def row_checks(values):
+        def positive(j, name, got=""):
+            return values[:, j] <= 0, lambda i: (
+                f"{name} must be positive to take logs, got {got}{float(values[i, j])!r}"
+            )
+
+        return [
+            (~np.isfinite(values).all(axis=1), lambda i: "non-finite value"),
+            positive(0, "output", "y="),
+            *(positive(j, f"input x{j}") for j in range(1, 1 + p)),
+        ]
+
+    table, units, periods = _read_long_csv(
+        path,
+        "panel",
+        read_header,
+        row_checks,
+        lambda unit, period: f"duplicate cell (unit {unit}, period {period})",
+    )
+    y = table[..., 0].ravel().tolist()
     return PanelDataset(
-        log_output=table[..., 0],
+        log_output=np.fromiter(map(math.log, y), float, len(y)).reshape(table.shape[:2]),
         log_inputs=np.log(table[..., 1 : 1 + p]),
         spatial=table[..., 1 + p : 1 + p + q],
         covariates=table[..., 1 + p + q :],
-        unit_ids=tuple(cells.units),
-        period_ids=tuple(cells.periods),
+        unit_ids=units,
+        period_ids=periods,
     )
 
 
@@ -240,29 +361,20 @@ def read_te_csv(path: str) -> tuple[np.ndarray, tuple, tuple]:
 
     Units and periods keep the order in which they first appear.
     """
-    cells = _Cells(1)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = None
-        for lineno, fields in enumerate(reader, start=1):
-            if not fields or fields[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                if fields != ["unit", "period", "te"]:
-                    raise DataError(f"TE CSV must have header unit,period,te; got {fields}")
-                header = fields
-                continue
-            if len(fields) != 3:
-                raise DataError(f"row {lineno}: expected 3 fields, got {len(fields)}")
-            try:
-                value = float(fields[2])
-            except ValueError as err:
-                raise DataError(f"row {lineno}: malformed number: {err}") from err
-            if not cells.add(fields[0], fields[1], (value,)):
-                raise DataError(f"row {lineno}: duplicate cell {(fields[0], fields[1])}")
-    if header is None:
-        raise DataError(f"{path}: no header row found")
-    return cells.grid("TE matrix")[..., 0], tuple(cells.units), tuple(cells.periods)
+
+    def read_header(fields):
+        if fields != ["unit", "period", "te"]:
+            raise DataError(f"TE CSV must have header unit,period,te; got {fields}")
+        return 1
+
+    table, units, periods = _read_long_csv(
+        path,
+        "TE matrix",
+        read_header,
+        lambda values: [],
+        lambda unit, period: f"duplicate cell {(unit, period)}",
+    )
+    return table[..., 0], units, periods
 
 
 # ---------------------------------------------------------------------------
