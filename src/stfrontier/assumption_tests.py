@@ -192,7 +192,9 @@ def ar_fit(series, p: int) -> ARFit:
 
 def _spectral_radius(lag_coeffs: np.ndarray) -> float:
     """Largest root modulus of the companion polynomial: >= 1 means the
-    recursion does not decay."""
+    recursion does not decay. One lag has the single root a, so |a|."""
+    if len(lag_coeffs) == 1:
+        return abs(float(lag_coeffs[0]))
     roots = np.roots(np.concatenate(([1.0], -np.asarray(lag_coeffs, dtype=float))))
     return float(np.abs(roots).max()) if roots.size else 0.0
 

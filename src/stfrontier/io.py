@@ -93,6 +93,23 @@ def _csv_fields(labels) -> list[str]:
     return [writer.writerow(("", str(label)))[1:-1] for label in labels]
 
 
+def _check_labels(unit_ids, period_ids) -> None:
+    """Reject labels that would not read back: the reader takes one line as
+    one row, and a line whose first field starts with '#' as a comment."""
+    for kind, labels in (("unit", unit_ids), ("period", period_ids)):
+        for label in map(str, labels):
+            if "\n" in label or "\r" in label:
+                raise ValidationError(
+                    f"{kind} label {label!r} contains a line break; "
+                    "a CSV row must fit on one line"
+                )
+    for label in map(str, unit_ids):
+        if label.lstrip().startswith("#"):
+            raise ValidationError(
+                f"unit label {label!r} starts with '#'; its rows would read back as comments"
+            )
+
+
 def _write_long_csv(
     path: str, meta: dict | None, unit_ids, period_ids, columns: dict[str, np.ndarray]
 ) -> None:
@@ -105,6 +122,7 @@ def _write_long_csv(
         if column.shape != (n, t):
             raise ValidationError(f"column {name} has shape {column.shape}, not ({n}, {t})")
         values.append(column)
+    _check_labels(unit_ids, period_ids)
     units, periods = _csv_fields(unit_ids), _csv_fields(period_ids)
     block_units = max(1, _WRITE_BLOCK_ROWS // max(t, 1))
     with _atomic_open(path) as handle:

@@ -5,16 +5,24 @@ test kind; the cell is replicated n_reps times with independent derived
 seeds, and the rejection rate is recorded. Cells and replications may run in
 any order or degree of parallelism without changing the output: every
 replication's seed is a stable hash of (master_seed, cell key, index).
-run_grid runs its cells on a thread pool, one worker per CPU by default; on
-the temporal test, two workers measured faster than one (ledger D7 in
-CHANGES.md).
+
+run_grid runs its cells in worker processes, one per CPU by default and never
+more than one per cell. A replication is many small numpy calls driven from
+Python, so threads would spend most of their time waiting for the GIL: two
+threads measured only 7-15% faster than one, two forked processes about 1.6x
+(ledger D8 in CHANGES.md). The workers are forked, not spawned, so they start
+without importing the package again (about 0.6 s each) and inherit the
+caller's module state, patched attributes included. run_power_cell itself
+runs its replications serially in the calling process.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .assumption_tests import TestConfig, test_constant_spatial, test_constant_temporal
@@ -248,6 +256,22 @@ class PowerTable:
         return "\n".join(lines)
 
 
+def _run_cell(grid_spec: GridSpec, n_reps: int, master_seed: int, item) -> PowerCell:
+    """One grid cell; module-level so that a worker process can unpickle it."""
+    scenario, kind = item
+    return run_power_cell(
+        scenario,
+        kind,
+        n_reps,
+        master_seed,
+        boot_k=grid_spec.boot_k,
+        alpha=grid_spec.alpha,
+        ar_order_p=grid_spec.ar_order_p,
+        series_source=grid_spec.series_source,
+        te_source=grid_spec.te_source,
+    )
+
+
 def run_grid(
     grid_spec: GridSpec,
     n_reps: int,
@@ -257,36 +281,27 @@ def run_grid(
 ) -> PowerTable:
     """Run every cell of the grid; output is identical for any worker count.
 
-    ``n_workers=None`` runs one thread per CPU, at most one per cell.
+    Each cell is one work item for a pool of forked worker processes; the
+    module docstring says why processes and why fork. ``n_workers=None``
+    means one worker per CPU. Any count is clamped to the number of cells,
+    and one worker runs the cells in this process without forking. A cell
+    that aborts in a worker raises its exception here, as it would serially.
     """
     master_seed = check_seed(master_seed, "master_seed")
     cells = list(grid_spec.cells())
     if not cells:
         raise ValidationError("empty grid")
 
-    def _run(item):
-        scenario, kind = item
-        return run_power_cell(
-            scenario,
-            kind,
-            n_reps,
-            master_seed,
-            boot_k=grid_spec.boot_k,
-            alpha=grid_spec.alpha,
-            ar_order_p=grid_spec.ar_order_p,
-            series_source=grid_spec.series_source,
-            te_source=grid_spec.te_source,
-        )
-
-    if n_workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
-    else:
-        workers = max(1, int(n_workers))
+    run = functools.partial(_run_cell, grid_spec, n_reps, master_seed)
+    workers = (os.cpu_count() or 1) if n_workers is None else max(1, int(n_workers))
+    workers = min(workers, len(cells))
     if workers == 1:
-        results = [_run(item) for item in cells]
+        results = list(map(run, cells))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run, cells))
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results = list(pool.map(run, cells))
 
     def _order(cell: PowerCell):
         sc = cell.scenario

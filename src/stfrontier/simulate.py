@@ -40,6 +40,9 @@ _MAX_REJECTION_ROUNDS = 1000
 #: stays because changing it reshuffles every simulated panel.
 COVARIATE_COMMON_SHARE = 0.7
 
+#: Rows of the pairwise distance matrix held at a time by mean_distance_profile.
+_DISTANCE_BLOCK_ROWS = 256
+
 
 def _standardize(arr: np.ndarray) -> np.ndarray:
     sd = arr.std()
@@ -49,13 +52,22 @@ def _standardize(arr: np.ndarray) -> np.ndarray:
 
 
 def mean_distance_profile(rng: np.random.Generator, n_units: int) -> np.ndarray:
-    """Standardized mean pairwise distances of uniform points on the unit square."""
+    """Standardized mean pairwise distances of uniform points on the unit square.
+
+    The distance matrix is formed _DISTANCE_BLOCK_ROWS rows at a time, so
+    memory grows with n rather than n**2; each row sums as it would in the
+    whole matrix.
+    """
     x, y = rng.uniform(size=(n_units, 2)).T
-    dist, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
-    dist *= dist  # squared and summed in place: two n x n buffers in all
-    dist += np.square(dy, out=dy)
-    mean_dist = np.sqrt(dist, out=dist).sum(axis=1) / (n_units - 1)
-    return _standardize(mean_dist)
+    row_sums = np.empty(n_units)
+    for start in range(0, n_units, _DISTANCE_BLOCK_ROWS):
+        rows = slice(start, start + _DISTANCE_BLOCK_ROWS)
+        dist, dy = np.subtract.outer(x[rows], x), np.subtract.outer(y[rows], y)
+        dist *= dist  # squared and summed in place: two block buffers in all
+        dist += np.square(dy, out=dy)
+        row_sums[rows] = np.sqrt(dist, out=dist).sum(axis=1)
+        del dist, dy  # freed before the next block is formed
+    return _standardize(row_sums / (n_units - 1))
 
 
 def calibrated_coefficients(params: ModelParams, dominance: str) -> tuple[float, float]:

@@ -158,6 +158,24 @@ class TestStabilization:
         assert _stabilized(fit) is fit
 
 
+def _roots_radius(lag_coeffs):
+    """The companion-root radius as np.roots gives it, for any order."""
+    roots = np.roots(np.concatenate(([1.0], -np.asarray(lag_coeffs, dtype=float))))
+    return float(np.abs(roots).max()) if roots.size else 0.0
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("a", [0.0, -0.0, 0.3, -0.3, 0.999, -0.999, 1.2, -1.2, 0.1 + 0.2])
+    def test_one_lag_closed_form_equals_np_roots(self, a):
+        assert _spectral_radius(np.array([a])) == _roots_radius([a])
+
+    @pytest.mark.parametrize(
+        "lag", [(0.5, 0.3), (1.2, -0.5), (0.0, 0.0), (0.1, 0.2, 0.3), (1.5, -0.2, 0.4)]
+    )
+    def test_higher_orders_use_np_roots(self, lag):
+        assert _spectral_radius(np.array(lag)) == _roots_radius(lag)
+
+
 # Reference for the unit-batched sieve: the per-unit recursion and einsum
 # refit that test_constant_temporal ran before the units were batched.
 

@@ -4,13 +4,21 @@ import io
 import json
 import math
 import os
+import re
 from array import array
 
 import numpy as np
 import pytest
 
 import stfrontier.io as stio
-from stfrontier import DataError, ModelParams, PanelDataset, Scenario, simulate_panel
+from stfrontier import (
+    DataError,
+    ModelParams,
+    PanelDataset,
+    Scenario,
+    ValidationError,
+    simulate_panel,
+)
 from stfrontier.cli import parse_and_dispatch
 from stfrontier.io import (
     _parse_header,
@@ -357,15 +365,19 @@ class TestReaderMatchesRowLoop:
         assert isinstance(result, tuple) and result[0].shape == (7, 6)
 
     def test_quoted_labels(self, tmp_path, read_blocks):
-        units = ("a,b", 'c"d', "e#f", "#g", " h", '"i"', "j")
+        units = ("a,b", 'c"d', "e#f", "g#", " h", '"i"', "j")
         periods = ("1", "2,3", 'x""y', "#4", "5 ", "6")
         text = panel_text(tmp_path, unit_ids=units, period_ids=periods)
-        assert '"a,b"' in text and '"c""d"' in text and "\n#g," in text
+        assert '"a,b"' in text and '"c""d"' in text and ",#4," in text
         target = tmp_path / "panel.csv"
         target.write_text(shuffled(text))
         result = assert_same_outcome(target)
-        # a label that starts with '#' reads as a comment line in both readers
-        assert "#g" not in result[4] and set(result[4]) == set(units) - {"#g"}
+        assert set(result[4]) == set(units) and set(result[5]) == set(periods)
+        # a unit label that starts with '#' would read back as a comment line,
+        # so the writer refuses it
+        for label in ("#g", " \t#g"):
+            with pytest.raises(ValidationError, match=re.escape(repr(label))):
+                panel_text(tmp_path, unit_ids=units[:3] + (label,) + units[4:], period_ids=periods)
 
     def test_three_inputs(self, tmp_path, read_blocks):
         params = ModelParams(beta=(0.3, 0.2, 0.1))
@@ -482,8 +494,10 @@ class TestReaderSyntax:
 
     def test_field_spanning_lines_rejected(self, tmp_path):
         # a quoted field must close on its line: one line is one row
+        # the bytes the writer gave a label with a line break, before it refused one
         target = tmp_path / "te.csv"
-        write_te_csv(np.full((2, 3), 0.5), ["a\nb", "c"], [1, 2, 3], str(target))
+        target.write_text(oracle_long_csv(["# version: " + stio.__version__], ["a\nb", "c"],
+                                          [1, 2, 3], {"te": np.full((2, 3), 0.5)}))
         assert oracle_read_te_csv(str(target))[1] == ("a\nb", "c")
         with pytest.raises(DataError, match="row 3: quoted field not closed on its line"):
             read_te_csv(str(target))
@@ -525,12 +539,28 @@ class TestWriter:
         monkeypatch.setattr(stio, "_WRITE_BLOCK_ROWS", block_rows)
         scales = 10.0 ** np.arange(-6, 9).reshape(5, 3)  # plain and exponent reprs
         te = np.random.default_rng(3).uniform(size=(5, 3)) * scales
-        units, periods = ["a,b", 'c"d', "e\nf", "", 5], ["1", " 2", "x\ry"]
+        units, periods = ["a,b", 'c"d', "e#f", "", 5], ["1", " 2", "#x y"]
         target = tmp_path / "te.csv"
         write_te_csv(te, units, periods, str(target), {"command": "t", "seed": 2})
         expected = oracle_long_csv(["# version: " + stio.__version__, "# command: t", "# seed: 2"],
                                    units, periods, {"te": te})
         assert target.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "units, periods, bad",
+        [
+            (["a\nb", "c"], [1, 2, 3], "a\nb"),
+            (["a", "c\r"], [1, 2, 3], "c\r"),
+            (["a", "c"], [1, "2\r\n", 3], "2\r\n"),
+            (["a", "#c"], [1, 2, 3], "#c"),
+            (["a", " \t#c"], [1, 2, 3], " \t#c"),
+        ],
+    )
+    def test_labels_that_would_not_read_back_are_rejected(self, tmp_path, units, periods, bad):
+        target = tmp_path / "te.csv"
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            write_te_csv(np.full((2, 3), 0.5), units, periods, str(target))
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_files_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o027)

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from stfrontier import (
+    BootstrapError,
     GridSpec,
     ModelParams,
     PowerCell,
@@ -9,10 +12,12 @@ from stfrontier import (
     StfrontierError,
     ValidationError,
     default_power_params,
+    power,
     run_grid,
     run_power_cell,
 )
 from stfrontier.power import cell_key
+from stfrontier.rng import derive_seed
 
 
 def tiny_scenario(**kw):
@@ -70,10 +75,6 @@ class TestRunPowerCell:
             run_power_cell(scenario, "spatial", 4, master_seed=6, boot_k=100, alpha=0.1)
 
     def test_rate_counts_completed_replications_only(self, monkeypatch):
-        from types import SimpleNamespace
-
-        from stfrontier import BootstrapError, power
-
         calls = []
 
         def flaky_test(te, spatial, config, covariates=None):
@@ -187,3 +188,75 @@ class TestRunGrid:
         text = table.summary_text()
         assert "spatial test" in text
         assert "equal" in text
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace the process pool with one that records how it was built and
+    maps in this process, so no worker is started."""
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            built.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(power, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+class TestProcessPool:
+    def test_pool_forks_its_workers(self, recorded_pools):
+        run_grid(tiny_grid(), 1, master_seed=15, n_workers=2)
+        assert recorded_pools == [(2, "fork")]
+
+    def test_workers_never_outnumber_cells(self, recorded_pools, monkeypatch):
+        grid = tiny_grid()  # two cells
+        for n_workers in (2, 4, 10**6):
+            run_grid(grid, 1, master_seed=15, n_workers=n_workers)
+        monkeypatch.setattr(power.os, "cpu_count", lambda: 64)
+        run_grid(grid, 1, master_seed=15)
+        assert recorded_pools == [(2, "fork")] * 4
+
+    def test_one_worker_runs_in_process(self, recorded_pools):
+        run_grid(tiny_grid(), 1, master_seed=15, n_workers=1)
+        run_grid(tiny_grid(shifts=()), 1, master_seed=15, n_workers=4)  # one cell
+        assert recorded_pools == []
+
+    def test_aborted_cell_raises_the_same_error_through_the_pool(self):
+        # an absurd sigma_eps makes every replication fail rejection sampling
+        grid = tiny_grid(base_params=ModelParams(rho=0.3, sigma_eps=1e8))
+        raised = []
+        for n_workers in (1, 2):
+            with pytest.raises(StfrontierError) as info:
+                run_grid(grid, 4, master_seed=6, n_workers=n_workers)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert "replications errored" in raised[0][1]
+
+    def test_planted_failure_reaches_its_cell_through_the_pool(self, monkeypatch):
+        # the patch reaches the workers because they are forked after it
+        grid = tiny_grid()
+        keys = [cell_key(*item) for item in grid.cells()]
+        key = keys[1]
+        planted = derive_seed(derive_seed(21, "power", key, 37), "bootstrap")
+
+        def flaky_test(te, spatial, config, covariates=None):
+            if config.seed == planted:
+                raise BootstrapError("planted failure")
+            return SimpleNamespace(reject=config.seed % 3 == 0)
+
+        monkeypatch.setattr(power, "test_constant_spatial", flaky_test)
+        serial, pooled = (run_grid(grid, 100, master_seed=21, n_workers=n) for n in (1, 2))
+        assert serial.csv_rows() == pooled.csv_rows()
+        for table in (serial, pooled):
+            failures = {cell_key(c.scenario, c.test_kind): c.n_failures for c in table.cells}
+            assert failures == {k: int(k == key) for k in keys}

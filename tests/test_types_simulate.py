@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stfrontier import (
     simulate_panel,
 )
 from stfrontier.rng import derive_seed, substream
+from stfrontier.simulate import _standardize, mean_distance_profile
 from stfrontier.types import DOMINANCE_SHARES
 
 
@@ -179,6 +182,29 @@ class TestSimulatePanel:
         assert np.all(w == w[:, [0]])
         assert w[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
         assert w[:, 0].std() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2000, 333, 257, 256, 50, 7, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_distance_profile_in_row_blocks_equals_whole_matrix(self, n, seed):
+        def whole_matrix(rng, n_units):
+            x, y = rng.uniform(size=(n_units, 2)).T
+            dist, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
+            dist *= dist
+            dist += np.square(dy, out=dy)
+            return _standardize(np.sqrt(dist, out=dist).sum(axis=1) / (n_units - 1))
+
+        blocked = mean_distance_profile(substream(seed, "coords"), n)
+        assert np.array_equal(blocked, whole_matrix(substream(seed, "coords"), n))
+
+    def test_distance_profile_memory_is_bounded_by_its_blocks(self):
+        tracemalloc.start()
+        try:
+            mean_distance_profile(substream(0, "coords"), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two 256 x 2000 float64 blocks are 7.8 MiB; the whole matrix was 61 MiB
+        assert peak < 10 * 2**20
 
     def test_temporal_contamination_changes_noise_of_picked_units(self):
         base = ModelParams(rho=0.3)
