@@ -11,13 +11,17 @@ deviation. Without this, N unguarded intervals reject far more often than
 alpha under the null.
 
 test_constant_temporal: are the units' autocorrelation coefficients equal?
-Per unit, an AR(p) is fit to its series (frontier residuals by default). Each
-unit's AR-sieve bootstrap (Buehlmann 1997) then runs with the highest-lag
-coefficient set to the cross-unit mean, so the resamples obey the null, and
-rebuilds k series from the unit's centered fit residuals; each is refit. The
-sieves of all units run as one recursion over N*k series, whose innovation
-indices one generator draws as a single block, and the refit's normal
-equations are summed while the recursion runs, so no sieve series is stored. Each unit's
+All units' series (frontier residuals by default) are fit an AR(p) in one
+pass: their lag designs are stacked, checked as row masks, and solved by one
+least-squares call per row, so each fit equals a fit to that series alone.
+Each unit's AR-sieve bootstrap (Buehlmann 1997) then runs with the
+highest-lag coefficient set to the cross-unit mean, so the resamples obey the
+null, and rebuilds k series from the unit's centered fit residuals; each is
+refit. The sieves of all units run as one recursion over N*k series: one
+generator draws their innovation indices as a single block, the lagged values
+rotate through a ring of arrays, and the refit's normal equations are summed
+while the recursion runs, so no sieve series is stored. Forward elimination
+of the N*k symmetric systems gives the refit coefficients. Each unit's
 deviation is studentised by its own bootstrap standard deviation. The null
 is rejected when at least one unit's interval excludes the cross-unit mean
 of the original estimates.
@@ -142,48 +146,91 @@ class ARFit:
         return self.coeffs[-1]
 
 
-def _lag_design(series: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    t = series.shape[0]
-    cols = [np.ones(t - p)] + [series[p - j : t - j] for j in range(1, p + 1)]
-    return np.column_stack(cols), series[p:]
+def check_ar_length(p: int, t: int) -> None:
+    """The one length rule for an AR(p) fit: the series needs T > 3p+1 values.
+
+    The temporal test and GridSpec check it up front, so a panel too short for
+    its AR order is a ValidationError and not a failure in every unit.
+    """
+    if t <= 3 * p + 1:
+        raise ValidationError(
+            f"series too short for AR({p}): need T > 3p+1 = {3 * p + 1}, got T={t}"
+        )
+
+
+def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]:
+    """Conditional least-squares AR(p) fits, with intercept, of every row of
+    an (N, T) array.
+
+    The rows' lag designs are stacked as one (N, T-p, p+1) array, and the
+    finite and variance checks run as row masks. Each row is then one
+    estimation.least_squares call, so its coefficients are those of a fit to
+    that row alone. Returns the N fits and None, or no fits and
+    (row, error) for the first row, in row order, that fails: non-finite
+    values raise ValidationError, a flat series or a singular lag design
+    EstimationError.
+    """
+    if int(p) < 1:
+        raise ValidationError(f"AR order must be >= 1, got {p}")
+    p = int(p)
+    n, t = series.shape
+    check_ar_length(p, t)
+    finite = np.isfinite(series).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in the variance of a bad row
+        flat = series.var(axis=1) < 1e-12
+    bad = ~finite | flat
+    first_bad = int(np.argmax(bad)) if bad.any() else n
+
+    design = np.empty((n, t - p, p + 1))
+    design[..., 0] = 1.0
+    for j in range(1, p + 1):
+        design[..., j] = series[:, p - j : t - j]
+    target = series[:, p:]
+    names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
+    coeffs = np.empty((n, p + 1))
+    resid = np.empty_like(target)
+    for i in range(first_bad):
+        try:
+            coeffs[i] = least_squares(
+                design[i], target[i], names, f"near-singular lag matrix for AR({p})"
+            )
+        except EstimationError as err:
+            return [], (i, err)
+        resid[i] = target[i] - design[i] @ coeffs[i]
+    if first_bad < n:
+        if not finite[first_bad]:
+            err = ValidationError("series contains non-finite values")
+        else:
+            err = EstimationError("zero-variance series: no autocorrelation to estimate")
+        return [], (first_bad, err)
+
+    centered = resid - resid.mean(axis=1, keepdims=True)
+    mse = (resid**2).sum(axis=1) / (t - p - (p + 1))
+    return [
+        ARFit(
+            order=p,
+            coeffs=tuple(map(float, coeffs[i])),
+            centered_residuals=centered[i],
+            mse=float(mse[i]),
+            series_head=tuple(map(float, series[i, :p])),
+            n_obs=t,
+        )
+        for i in range(n)
+    ], None
 
 
 def ar_fit(series, p: int) -> ARFit:
     """Fit an AR(p) with intercept by conditional least squares.
 
-    Residuals are centered to mean zero; mse is the regression mean squared
-    error with p+1 fitted parameters. The fit is one estimation.least_squares
-    call; a singular lag design raises EstimationError naming the collinear
-    columns (intercept, lag1, ..., lagp).
+    The one-row case of the temporal test's fitter. Residuals are centered to
+    mean zero; mse is the regression mean squared error with p+1 fitted
+    parameters. A singular lag design raises EstimationError naming the
+    collinear columns (intercept, lag1, ..., lagp).
     """
-    s = np.asarray(series, dtype=float).ravel()
-    t = s.shape[0]
-    if int(p) < 1:
-        raise ValidationError(f"AR order must be >= 1, got {p}")
-    p = int(p)
-    if t <= 3 * p + 1:
-        raise ValidationError(
-            f"series too short for AR({p}): need length > {3 * p + 1}, got {t}"
-        )
-    if not np.isfinite(s).all():
-        raise ValidationError("series contains non-finite values")
-    if s.var() < 1e-12:
-        raise EstimationError("zero-variance series: no autocorrelation to estimate")
-
-    design, target = _lag_design(s, p)
-    names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
-    coeffs = least_squares(design, target, names, f"near-singular lag matrix for AR({p})")
-    resid = target - design @ coeffs
-    centered = resid - resid.mean()
-    mse = float((resid**2).sum() / (resid.shape[0] - (p + 1)))
-    return ARFit(
-        order=p,
-        coeffs=tuple(float(c) for c in coeffs),
-        centered_residuals=centered,
-        mse=mse,
-        series_head=tuple(float(v) for v in s[:p]),
-        n_obs=t,
-    )
+    fits, failure = _ar_fit_rows(np.asarray(series, dtype=float).reshape(1, -1), p)
+    if failure is not None:
+        raise failure[1]
+    return fits[0]
 
 
 def _spectral_radius(lag_coeffs: np.ndarray) -> float:
@@ -221,65 +268,99 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     """Highest-lag AR(p) coefficient refit to every sieve series, shape (units, k).
 
     One recursion runs the sieves of all fits, k series each, from their
-    observed first p values; at step s, unit i's series draws the centered
-    residuals that idx[s, i] picks. Each series is emitted after
+    observed first p values. Each unit's intercept is folded into its
+    centered residuals, so at step s unit i's series starts from the entry
+    c_i + e that idx[s, i] picks in that table, and then adds the lag
+    products a_1*y_{t-1}, ..., a_p*y_{t-p} in lag order. The p lagged values
+    are a ring of (units, k) arrays: each step writes the new value into the
+    array that the previous step's oldest lag left free and rotates the ring,
+    so no state is shifted or copied. Each series is emitted after
     SIEVE_BURN_IN steps and regresses y_t, t >= p, on (1, y_{t-1}, ...,
     y_{t-p}). The normal equations are summed while the recursion runs, one
-    row per step in time order, which is the order in which an einsum over the
-    stored series sums them; so the emitted series are never kept. One batched
-    solve serves every series; if a unit has a singular system, that unit's k
-    systems are solved by least squares instead.
+    row per step in time order, which is the order in which an einsum over
+    the stored series sums them; so the emitted series are never kept.
+    _last_coefficient then solves all N*k systems at once.
     """
     p = fits[0].order
     q = p + 1
     steps, _, k = idx.shape
     first = SIEVE_BURN_IN + p  # the step that emits y_p, the first target
-    intercept = np.array([fit.coeffs[0] for fit in fits])[:, None]
-    lag = np.array([fit.lag_coeffs for fit in fits])[:, :, None]  # (units, p, 1)
-    residuals = np.concatenate([fit.centered_residuals for fit in fits])
-    offsets = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])[:, None]
-    # lagged values (units, k, p), newest first: y_{t-1}, ..., y_{t-p}
-    state = np.empty((len(fits), k, p))
-    state[:] = np.array([fit.series_head[::-1] for fit in fits])[:, None, :]
-    # upper triangle of X'X; its (0, 0) entry is the row count
-    pairs = [(c, d) for c in range(q) for d in range(max(c, 1), q)]
-    xtx = [0.0] * len(pairs)
-    xty = [0.0] * q
+    shape = (len(fits), k)
+    table = np.concatenate([fit.coeffs[0] + fit.centered_residuals for fit in fits])
+    # per-unit constants spread over the k series: a broadcast operand would
+    # make every step's passes slower
+    offsets = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])
+    offsets = np.broadcast_to(offsets[:, None], shape).astype(np.intp)
+    lag = [np.broadcast_to(np.array([fit.coeffs[j] for fit in fits])[:, None], shape).copy()
+           for j in range(1, q)]
+    # ring[j] holds y_{t-1-j}; the spare array receives the next value
+    ring = [np.empty(shape) for _ in range(q)]
+    for j in range(p):
+        ring[j][:] = np.array([fit.series_head[p - 1 - j] for fit in fits])[:, None]
+    spare = ring.pop()
+    position = np.empty(shape, dtype=np.intp)
+    product = np.empty(shape)
+    # the upper triangle of X'X but its (0, 0) entry, the row count, and X'y,
+    # each entry one contiguous (units, k) array
+    xtx = {(c, d): np.zeros(shape) for c in range(q) for d in range(max(c, 1), q)}
+    xty = np.zeros((q,) + shape)
     for step, step_idx in enumerate(idx):
-        # One lag needs no BLAS call: its product rounds the same either way.
-        # Several lags go through matmul, which rounds as BLAS does (it may
-        # fuse multiply-adds), so every series matches a per-unit recursion.
-        new = state[..., 0] * lag[:, 0] if p == 1 else (state @ lag)[..., 0]
-        new += intercept
-        new += residuals.take(np.add(step_idx, offsets, dtype=np.intp))
+        # every position is in range by construction; "clip" only spares take
+        # the buffered copy that mode="raise" makes into ``out``
+        new = table.take(np.add(step_idx, offsets, out=position), out=spare, mode="clip")
+        for coef, lagged in zip(lag, ring):
+            new += np.multiply(coef, lagged, out=product)
         if step >= first:
-            row = (None, *np.moveaxis(state, -1, 0))  # column 0 is the intercept's 1
-            for j, (c, d) in enumerate(pairs):
-                xtx[j] += row[d] if c == 0 else row[c] * row[d]
+            row = (None, *ring)  # column 0 is the intercept's 1
+            for (c, d), total in xtx.items():
+                total += row[d] if c == 0 else np.multiply(row[c], row[d], out=product)
             xty[0] += new
             for c in range(1, q):
-                xty[c] += row[c] * new
-        state[..., 1:] = state[..., :-1]
-        state[..., 0] = new
-    # frees the indices before the solve when the caller keeps no reference
+                xty[c] += np.multiply(row[c], new, out=product)
+        spare = ring.pop()
+        ring.insert(0, new)
+    # frees the indices before the systems are built when the caller keeps
+    # no reference
     del idx, step_idx
-    a = np.empty(new.shape + (q, q))
-    a[..., 0, 0] = steps - first
-    for (c, d), total in zip(pairs, xtx):
-        a[..., c, d] = a[..., d, c] = total
-    b = np.stack(xty, axis=-1)[..., None]
-    try:
-        coefs = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        coefs = np.stack([_solve_unit(unit_a, unit_b) for unit_a, unit_b in zip(a, b)])
-    return coefs[..., -1, 0]
+    a = np.empty((q, q) + shape)
+    a[0, 0] = steps - first
+    for (c, d), total in xtx.items():
+        a[c, d] = a[d, c] = total
+    return _last_coefficient(a, xty)
 
 
-def _solve_unit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.stack([np.linalg.lstsq(x, y, rcond=None)[0] for x, y in zip(a, b)])
+def _last_coefficient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Last entry of x in each symmetric system a x = b, stacked with the
+    matrix axes first: a (q, q, ...) and b (q, ...); returns shape a.shape[2:].
+
+    Forward elimination without pivoting, on the upper triangle only, since
+    every Schur complement of a symmetric matrix is symmetric; the last
+    coefficient is then the last right-hand side over the last pivot. Normal
+    equations are positive semi-definite, so this needs no pivoting. A system
+    with a pivot that is not positive, or a result that is not finite, is
+    solved by np.linalg.lstsq instead, which gives the minimum-norm solution
+    of a singular system.
+    """
+    q = a.shape[0]
+    upper = {(r, c): a[r, c] for r in range(q) for c in range(r, q)}
+    rhs = list(b)
+    solved = np.ones(a.shape[2:], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(q - 1):
+            pivot = upper[j, j]
+            solved &= pivot > 0
+            for r in range(j + 1, q):
+                factor = upper[j, r] / pivot
+                for c in range(r, q):
+                    upper[r, c] = upper[r, c] - factor * upper[j, c]
+                rhs[r] = rhs[r] - factor * rhs[j]
+        solved &= upper[q - 1, q - 1] > 0
+        last = rhs[-1] / upper[q - 1, q - 1]
+        solved &= np.isfinite(last)
+    for i in map(tuple, np.argwhere(~solved)):
+        system = (slice(None), slice(None), *i)
+        last[i] = np.linalg.lstsq(a[system], b[system[1:]], rcond=None)[0][-1]
+    return last
 
 
 def _simultaneous_intervals(
@@ -349,33 +430,29 @@ def _null_sieve_draws(fits: list[ARFit], m: int, config: TestConfig) -> np.ndarr
 def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestReport:
     """AR-sieve bootstrap test of a common autocorrelation coefficient.
 
-    Every unit is fit first; each unit's sieve then runs with its highest-lag
-    coefficient set to the cross-unit mean, imposing the null. One
-    unit-batched recursion generates all N*k sieve series from one
+    The series must be longer than 3p+1 (check_ar_length). Every unit is fit
+    first, in one pass; the first unit, in unit order, whose fit fails is
+    named in a BootstrapError. Each unit's sieve then runs with its
+    highest-lag coefficient set to the cross-unit mean, imposing the null.
+    One unit-batched recursion generates all N*k sieve series from one
     generator's time-major innovation indices and sums their AR refits'
-    normal equations as it goes;
-    one batched solve then gives the N*k refit coefficients. The per-unit
-    intervals are simultaneous max-t intervals, each studentised by the
-    bootstrap standard deviation of that unit's deviation from the replicate's
-    cross-unit mean. Rejects when at least one unit's interval
-    excludes the cross-unit mean of the original estimates.
+    normal equations as it goes; forward elimination then gives the N*k
+    refit coefficients. The per-unit intervals are simultaneous max-t
+    intervals, each studentised by the bootstrap standard deviation of that
+    unit's deviation from the replicate's cross-unit mean. Rejects when at
+    least one unit's interval excludes the cross-unit mean of the original
+    estimates.
     """
     if panel.n_units < 2:
         raise ValidationError("at least two spatial units required")
-    p = config.ar_order_p
-    if p >= panel.n_periods / 3:
-        raise ValidationError(
-            f"ar_order_p={p} too large for T={panel.n_periods}: need p < T/3"
-        )
+    check_ar_length(config.ar_order_p, panel.n_periods)
     series = _unit_series(panel, config.series_source)
     m = panel.n_periods
 
-    fits: list[ARFit] = []
-    for i, label in enumerate(panel.unit_ids):
-        try:
-            fits.append(ar_fit(series[i], p))
-        except (ValidationError, EstimationError) as err:
-            raise BootstrapError(f"AR fit failed for unit {label!r}: {err}") from err
+    fits, failure = _ar_fit_rows(series, config.ar_order_p)
+    if failure is not None:
+        row, err = failure
+        raise BootstrapError(f"AR fit failed for unit {panel.unit_ids[row]!r}: {err}") from err
     estimates = np.array([fit.highest_lag_coeff for fit in fits])
 
     draws = _null_sieve_draws(fits, m, config)

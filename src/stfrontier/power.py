@@ -24,7 +24,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .assumption_tests import TestConfig, test_constant_spatial, test_constant_temporal
+from .assumption_tests import (
+    TestConfig,
+    check_ar_length,
+    test_constant_spatial,
+    test_constant_temporal,
+)
 from .errors import StfrontierError, ValidationError
 from .estimation import estimate_model
 from .frontier import technical_efficiency
@@ -190,6 +195,9 @@ class GridSpec:
                 raise ValidationError(f"unknown dominance {dom!r}")
         if not self.n_values or not self.t_values or not self.dominances:
             raise ValidationError("grid must span at least one (n, T, dominance) cell")
+        if "temporal" in self.test_kinds:
+            # otherwise every replication of the shortest cells would error
+            check_ar_length(int(self.ar_order_p), min(self.t_values))
 
     def cells(self):
         """Yield (scenario, test_kind) pairs covering the grid exactly once."""

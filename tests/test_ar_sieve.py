@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from stfrontier import (
     ARFit,
+    BootstrapError,
     EstimationError,
+    PanelDataset,
     Scenario,
     TestConfig,
     ValidationError,
@@ -18,6 +21,8 @@ from stfrontier import (
 from stfrontier import assumption_tests
 from stfrontier.assumption_tests import (
     SIEVE_BURN_IN,
+    _ar_fit_rows,
+    _last_coefficient,
     _null_sieve_draws,
     _sieve_refit,
     _spectral_radius,
@@ -79,6 +84,55 @@ class TestArFit:
         assert fit.series_head == (series[0], series[1])
 
 
+class TestArFitRows:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_batched_fits_bit_identical_to_per_row_ar_fit(self, p):
+        series = fit_frontier_gls(gate_panel(6, contaminated=True)).innovations
+        fits, failure = _ar_fit_rows(series, p)
+        assert failure is None and len(fits) == series.shape[0]
+        for row, fit in zip(series, fits):
+            alone = ar_fit(row, p)
+            assert fit.coeffs == alone.coeffs
+            assert np.array_equal(fit.centered_residuals, alone.centered_residuals)
+            assert fit.mse == alone.mse and fit.series_head == alone.series_head
+
+    def test_first_failing_row_in_row_order_is_reported(self):
+        rng = np.random.default_rng(3)
+        series = rng.normal(size=(5, 12))
+        series[1] = np.tile([0.0, 1.0], 6)  # collinear lags at p = 2
+        series[2, 4] = np.nan
+        series[3] = 0.5  # flat
+        for row, kind in ((1, EstimationError), (2, ValidationError), (3, EstimationError)):
+            fits, (bad, err) = _ar_fit_rows(series, 2)
+            assert fits == [] and bad == row and type(err) is kind
+            with pytest.raises(kind) as alone:
+                ar_fit(series[row], 2)
+            assert str(err) == str(alone.value)
+            series[row] = rng.normal(size=12)
+        assert _ar_fit_rows(series, 2)[1] is None
+
+    @pytest.mark.parametrize("flat, collinear", [(1, 3), (3, 1)])
+    def test_temporal_test_names_the_first_bad_unit(self, flat, collinear):
+        rng = np.random.default_rng(4)
+        log_output = rng.normal(size=(5, 12))
+        log_output[flat] = 1.25
+        log_output[collinear] = np.tile([0.0, 1.0], 6)
+        panel = PanelDataset(
+            log_output=log_output,
+            log_inputs=rng.normal(size=(5, 12, 1)),
+            spatial=rng.normal(size=(5, 12, 1)),
+            covariates=rng.normal(size=(5, 12, 1)),
+            unit_ids=tuple(f"u{i}" for i in range(5)),
+        )
+        first = min(flat, collinear)
+        with pytest.raises(EstimationError) as alone:
+            ar_fit(log_output[first], 2)
+        config = TestConfig(ar_order_p=2, n_boot_k=100, seed=1, series_source="log_output")
+        with pytest.raises(BootstrapError) as raised:
+            run_temporal_test(panel, config)
+        assert str(raised.value) == f"AR fit failed for unit 'u{first}': {alone.value}"
+
+
 class TestStabilization:
     def test_explosive_fit_rescaled_for_resampling(self):
         explosive = ARFit(
@@ -117,42 +171,49 @@ class TestSpectralRadius:
         assert _spectral_radius(np.array(lag)) == _roots_radius(lag)
 
 
-# Reference for the unit-batched sieve: the per-unit recursion and einsum
-# refit that test_constant_temporal ran before the units were batched. Unit i
-# reads its (k, steps) innovation indices from the block as idx[:, i, :].T.
+# Reference for the unit-batched sieve: a per-unit recursion and an einsum
+# refit over the stored series. Unit i reads its (k, steps) innovation
+# indices from the block as idx[:, i, :].T. The recursion adds in the
+# kernel's order, c + e first and then the lag products in lag order, so the
+# draws match bit for bit.
 
 
 def _oracle_sieve_batch(fit, m, unit_idx):
     p = fit.order
-    residuals = fit.centered_residuals
-    intercept = fit.coeffs[0]
     lag = fit.lag_coeffs
     k, steps = unit_idx.shape
     assert steps == SIEVE_BURN_IN + m
-    innov = residuals[unit_idx]
+    shocks = fit.coeffs[0] + fit.centered_residuals[unit_idx]
     state = np.tile(np.asarray(fit.series_head)[::-1], (k, 1))
     out = np.empty((k, steps))
     for s in range(steps):
-        new = intercept + state @ lag + innov[:, s]
+        new = shocks[:, s]
+        for j in range(p):
+            new = new + lag[j] * state[:, j]
         out[:, s] = new
-        if p > 1:
-            state[:, 1:] = state[:, :-1]
+        state[:, 1:] = state[:, :-1]
         state[:, 0] = new
     return out[:, SIEVE_BURN_IN:]
 
 
-def _oracle_ar_refit_batch(series_batch, p):
+def _oracle_normal_equations(series_batch, p):
     k, m = series_batch.shape
     cols = [np.ones((k, m - p))] + [series_batch[:, p - j : m - j] for j in range(1, p + 1)]
     design = np.stack(cols, axis=2)
     target = series_batch[:, p:]
-    xtx = np.einsum("krc,krd->kcd", design, design)
-    xty = np.einsum("krc,kr->kc", design, target)
-    try:
-        coefs = np.linalg.solve(xtx, xty[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        coefs = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(xtx, xty)])
-    return coefs[:, -1]
+    return (
+        np.einsum("krc,krd->kcd", design, design),
+        np.einsum("krc,kr->kc", design, target),
+    )
+
+
+def _solve_last(xtx, xty):
+    """_last_coefficient on systems stacked the usual way, (..., q, q) and (..., q)."""
+    return _last_coefficient(np.moveaxis(xtx, (-2, -1), (0, 1)), np.moveaxis(xty, -1, 0))
+
+
+def _oracle_ar_refit_batch(series_batch, p):
+    return _solve_last(*_oracle_normal_equations(series_batch, p))
 
 
 def _index_block(config, n_units, m):
@@ -166,14 +227,19 @@ def _index_block(config, n_units, m):
     )
 
 
-def _oracle_null_draws(fits, m, config, idx):
+def _oracle_null_series(fits, m, config, idx):
+    """Each unit's (k, m) null sieve series, unit by unit."""
     pooled = float(np.mean([fit.highest_lag_coeff for fit in fits]))
-    draws = np.empty((len(fits), config.n_boot_k))
     for i, fit in enumerate(fits):
         null_fit = replace(fit, coeffs=(*fit.coeffs[:-1], pooled))
-        batch = _oracle_sieve_batch(_stabilized(null_fit), m, idx[:, i, :].T)
-        draws[i] = _oracle_ar_refit_batch(batch, fit.order)
-    return draws
+        yield _oracle_sieve_batch(_stabilized(null_fit), m, idx[:, i, :].T)
+
+
+def _oracle_null_draws(fits, m, config, idx):
+    return np.stack(
+        [_oracle_ar_refit_batch(batch, config.ar_order_p)
+         for batch in _oracle_null_series(fits, m, config, idx)]
+    )
 
 
 def gate_panel(seed, contaminated=False):
@@ -187,6 +253,57 @@ def gate_panel(seed, contaminated=False):
         seed=seed,
     )
     return simulate_panel(scenario)[0]
+
+
+def _normwise_error(x, reference):
+    return np.abs(x - reference).max() / np.abs(reference).max()
+
+
+class TestLastCoefficient:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize(
+        "seed, contaminated", [(1, False), (2, False), (3, True), (4, False), (5, True)]
+    )
+    def test_agrees_with_solve_on_gate_refit_systems(self, seed, contaminated, p):
+        panel = gate_panel(seed, contaminated)
+        fits = [ar_fit(s, p) for s in fit_frontier_gls(panel).innovations]
+        config = TestConfig(ar_order_p=p, n_boot_k=500, seed=100 + seed)
+        idx = _index_block(config, len(fits), panel.n_periods)
+        series = np.concatenate(list(_oracle_null_series(fits, panel.n_periods, config, idx)))
+        xtx, xty = _oracle_normal_equations(series, p)
+        reference = np.linalg.solve(xtx, xty[..., None])[:, -1, 0]
+        assert _normwise_error(_solve_last(xtx, xty), reference) <= 1e-10
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_agrees_with_lstsq_on_random_spd_stacks(self, q):
+        rng = np.random.default_rng(q)
+        design = rng.normal(size=(300, 3 * q, q)) * rng.uniform(0.1, 10, size=(300, 1, q))
+        design[..., 0] = 1.0
+        response = rng.normal(size=(300, 3 * q))
+        xtx = np.einsum("krc,krd->kcd", design, design)
+        xty = np.einsum("krc,kr->kc", design, response)
+        reference = np.array([np.linalg.lstsq(a, b, rcond=None)[0][-1] for a, b in zip(xtx, xty)])
+        assert _normwise_error(_solve_last(xtx, xty), reference) <= 1e-10
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_flat_or_singular_systems_equal_lstsq_exactly(self, q):
+        rng = np.random.default_rng(10 + q)
+        design = rng.normal(size=(8, 11, q))
+        design[..., 0] = 1.0
+        design[1, :, 1:] = 1.0  # a flat series: every lag equals the intercept's 1
+        design[2, :, 1:] = 2.0
+        design[3] = 0.0  # no rows at all
+        design[4, :, -1] = 0.0  # a lag that never moves from zero
+        design[5, :, 1:] = 0.7  # flat, and a pivot rounds to -1.8e-15
+        response = rng.normal(size=(8, 11))
+        xtx = np.einsum("krc,krd->kcd", design, design)
+        xty = np.einsum("krc,kr->kc", design, response)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            last = _solve_last(xtx.reshape(2, 4, q, q), xty.reshape(2, 4, q)).ravel()
+        lstsq = [np.linalg.lstsq(a, b, rcond=None)[0][-1] for a, b in zip(xtx, xty)]
+        assert np.array_equal(last[1:6], lstsq[1:6])
+        np.testing.assert_allclose(last[[0, 6, 7]], [lstsq[0], lstsq[6], lstsq[7]], rtol=1e-10)
 
 
 class TestBatchedSieve:
@@ -208,8 +325,7 @@ class TestBatchedSieve:
         config = TestConfig(ar_order_p=p, n_boot_k=500, seed=7)
         batched = _null_sieve_draws(fits, panel.n_periods, config)
         idx = _index_block(config, len(fits), panel.n_periods)
-        oracle = _oracle_null_draws(fits, panel.n_periods, config, idx)
-        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
+        assert np.array_equal(batched, _oracle_null_draws(fits, panel.n_periods, config, idx))
 
     def test_singular_unit_falls_back_to_least_squares(self):
         # a flat recursion with no innovations makes that unit's refit singular

@@ -85,8 +85,23 @@ class TestTemporal:
 
     def test_order_too_large_for_panel(self):
         panel, *_ = simulate_panel(power_scenario())
-        with pytest.raises(ValidationError, match="p < T/3"):
+        with pytest.raises(ValidationError, match=r"need T > 3p\+1 = 13, got T=12"):
             run_temporal_test(panel, TestConfig(ar_order_p=4, n_boot_k=120, seed=5))
+
+    @pytest.mark.parametrize("t, p", [(10, 3), (4, 1), (7, 2)])
+    def test_length_rule_is_checked_before_any_fit(self, t, p):
+        # T = 3p+1 passed the old p < T/3 check and then failed in every unit
+        panel, *_ = simulate_panel(power_scenario(n_periods=t))
+        for source in ("frontier_residuals", "log_output"):
+            config = TestConfig(ar_order_p=p, n_boot_k=120, seed=5, series_source=source)
+            with pytest.raises(ValidationError, match=r"too short for AR\(\d\): need T > 3p\+1"):
+                run_temporal_test(panel, config)
+
+    @pytest.mark.parametrize("t, p", [(11, 3), (5, 1)])
+    def test_shortest_allowed_series_runs(self, t, p):
+        panel, *_ = simulate_panel(power_scenario(n_periods=t))
+        config = TestConfig(ar_order_p=p, n_boot_k=120, seed=5, series_source="log_output")
+        assert len(run_temporal_test(panel, config).per_block_estimate) == panel.n_units
 
     def test_constant_unit_series_aborts_with_unit_name(self):
         rng = np.random.default_rng(0)

@@ -696,6 +696,36 @@ class TestCli:
         assert code == 3
         assert json.loads(out.read_text())["reject"] is True
 
+    def test_series_too_short_for_ar_order_exits_with_usage_error(self, tmp_path, capsys):
+        # T = 10 = 3p+1 at p = 3: a ValidationError (exit 1), not a
+        # numerical failure in every unit (exit 2)
+        scenario = tmp_path / "scenario.json"
+        write_scenario_json(Scenario(n_units=8, n_periods=10, seed=7), str(scenario))
+        panel_csv = tmp_path / "panel.csv"
+        parse_and_dispatch(["simulate", "--scenario", str(scenario), "--out", str(panel_csv)])
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        code = parse_and_dispatch(
+            ["test-temporal", "--panel", str(panel_csv), "--ar-order", "3", "--boot-k", "100",
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "error: series too short for AR(3): need T > 3p+1 = 10, got T=10" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_power_grid_too_short_for_ar_order_exits_with_usage_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"test_kinds": ["temporal"], "t_values": [4], "ar_order_p": 1}))
+        out = tmp_path / "power.csv"
+        code = parse_and_dispatch(
+            ["power", "--grid", str(grid), "--reps", "2", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "need T > 3p+1 = 4, got T=4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spatial_on_estimated_te_fails_to_reject(self, tmp_path, scenario_file):
         # model-predicted TE shares one spatial slope across periods, so the
         # per-period intervals all contain the reference

@@ -166,6 +166,20 @@ class TestGridSpec:
                 assert scenario.spatial_shift_g == 1.5 and scenario.temporal_shift_r == 0.0
 
 
+    @pytest.mark.parametrize("t_values, p", [((10, 12), 3), ((4,), 1), ((7, 60), 2)])
+    def test_temporal_grid_rejects_series_too_short_for_its_order(self, t_values, p):
+        with pytest.raises(ValidationError, match=r"need T > 3p\+1"):
+            tiny_grid(test_kinds=("temporal",), t_values=t_values, ar_order_p=p)
+        with pytest.raises(ValidationError, match=r"need T > 3p\+1"):
+            tiny_grid(test_kinds=("spatial", "temporal"), t_values=t_values, ar_order_p=p)
+        # the rule binds the temporal test only
+        assert list(tiny_grid(t_values=t_values, ar_order_p=p).cells())
+
+    def test_temporal_grid_accepts_the_shortest_allowed_series(self):
+        grid = tiny_grid(test_kinds=("temporal",), t_values=(11, 12), ar_order_p=3)
+        assert {sc.n_periods for sc, _ in grid.cells()} == {11, 12}
+
+
 class TestRunGrid:
     def test_csv_rows_and_sorting(self):
         table = run_grid(tiny_grid(), 2, master_seed=11)
@@ -179,6 +193,26 @@ class TestRunGrid:
         serial = run_grid(grid, 2, master_seed=12, n_workers=1)
         threaded = run_grid(grid, 2, master_seed=12, n_workers=3)
         assert serial.csv_rows() == threaded.csv_rows()
+
+    def test_benchmark_temporal_grid_rows_are_pinned(self):
+        # the benchmark's mc-temporal grid: a null cell and 10% of units at
+        # r = 1.0, n=50, T=12, k=500, on 2 workers; rows recorded before the
+        # temporal kernel was vectorised, on a seed fixed before the run
+        grid = GridSpec(
+            test_kinds=("temporal",),
+            n_values=(50,),
+            t_values=(12,),
+            dominances=("equal",),
+            fractions=(0.1,),
+            shifts=(1.0,),
+            base_params=default_power_params(),
+            boot_k=500,
+        )
+        assert run_grid(grid, 8, master_seed=4242, n_workers=2).csv_rows() == [
+            "test,n,T,dominance,fraction,shift,reps,rejections,rate",
+            "temporal,50,12,equal,0.0,0.0,8,0,0.0",
+            "temporal,50,12,equal,0.1,1.0,8,0,0.0",
+        ]
 
     def test_summary_text_mentions_cells(self):
         table = run_grid(tiny_grid(), 2, master_seed=14)
