@@ -35,7 +35,10 @@ EXIT_NUMERICAL = 2
 EXIT_REJECT = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse_args call
+    fills a fresh namespace from the defaults, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="stfrontier",
         description="Spatial-temporal stochastic frontier toolkit",

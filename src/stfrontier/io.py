@@ -9,11 +9,20 @@ Both long-CSV readers share one parser: it reads the file once, in blocks of
 lines, and parses each block with one np.loadtxt call; every row check is an
 array mask. The long-CSV writer formats and writes one block of units at a
 time, so neither direction holds the whole text in memory.
+
+The writer prints each float as repr() does, without calling repr() per
+value: _format_floats finds the shortest digits that read back with exact
+integer arithmetic on whole arrays, in the manner of Ryu (Adams 2018, PLDI),
+and lays them out in fixed byte slots under a mask. Each block of rows is
+one byte matrix (labels, slots, commas, newlines) and one mask; the bytes
+the mask keeps are the block's text. Values outside the kernel's domain go
+to repr() one by one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -75,7 +84,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 # Block sizes for writing and reading long CSVs: they bound the memory that a
 # write or a parse holds beyond its input or its result.
-_WRITE_BLOCK_ROWS = 8192
+_WRITE_BLOCK_ROWS = 4096
 _READ_BLOCK_CHARS = 1 << 20
 
 
@@ -110,11 +119,174 @@ def _check_labels(unit_ids, period_ids) -> None:
             )
 
 
+def _label_bytes(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The fields as rows of UTF-8 bytes padded to one width, and the mask
+    of the bytes that belong to each."""
+    encoded = [field.encode("utf-8", "surrogatepass") for field in fields]
+    width = max([1, *map(len, encoded)])
+    chars = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    keep = np.arange(width) < np.array([len(field) for field in encoded], np.intp)[:, None]
+    return chars, keep
+
+
+# _format_floats writes each value into a slot of six little-endian 64-bit
+# words, where d0..d16 are its 17 significant digits:
+#   [spare, "-0.000", d0] [d1..d8] [d9..d16] [".", 6 spare, d0] [d1..d8] [d9..d16]
+# A mask picks repr(value) out of the slot: the sign, then "0." and up to three
+# zeros when the decimal point comes first, the digits before the point from
+# the first copy, the point, and the digits after it from the second copy.
+_SLOT = 48
+_U64 = np.uint64
+_FRACTION = _U64((1 << 52) - 1)
+_PREFIX = _U64(int.from_bytes(b"\0-0.000\0", "little"))
+_POINT = _U64(ord("."))
+_ONES = _U64(0x0101010101010101)
+_ZEROS = _ONES * _U64(ord("0"))
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray]:
+    """5**k for k = 0..18, and the slot mask of every (sign, decimal point
+    position -3..15, digits shown 0..17); built on first use."""
+    pow5 = np.array([5**k for k in range(19)], _U64)
+    negative, point, shown = np.ogrid[0:2, -3:16, 0:18]
+    digit = np.arange(17)
+    keep = np.zeros((2, 19, 18, _SLOT), bool)
+    keep[..., 1] = negative == 1
+    keep[..., 2:4] = (point <= 0)[..., None]
+    keep[..., 4:7] = np.arange(3) < -point[..., None]
+    keep[..., 7:24] = digit < point[..., None]
+    keep[..., 24] = point >= 1
+    keep[..., 31:48] = (digit >= np.maximum(point, 0)[..., None]) & (digit < shown[..., None])
+    return pow5, keep.reshape(-1, _SLOT)
+
+
+def _shortest_digits(a: np.ndarray, pow5: np.ndarray):
+    """The digits repr() gives each float `a` > 0, as a 17-digit integer (the
+    digits, then zeros) and the decimal exponent e10 of the first digit, with
+    a mask of the values the result is exact for.
+
+    With a = m * 2**q, the nearest L-digit decimal to a is
+    N_L * 10**-k with N_L = round(m * 5**k / 2**s), k = L-1-e10, s = -(k+q),
+    and it reads back as a iff 2 * |N_L * 2**s - m * 5**k| < 5**k. For
+    1e-4 <= a < 1e15 and m not a power of two, the first of L = 15, 16, 17
+    whose N_L reads back gives repr's digits (ledger D11 in CHANGES.md). The
+    mask is false where that N_L is a tie or does not have L digits.
+    """
+    bits = a.view(_U64)
+    m = (bits & _FRACTION) | _U64(1 << 52)
+    q = (bits >> _U64(52)).astype(np.int64) - 1075
+    # a wrong e10 puts N_L outside [10**(L-1), 10**L), which the mask catches
+    e10 = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.int64)
+    k = 14 - e10
+    s = (-(k + q)).astype(_U64)  # 3..49
+    p = pow5[k]
+    # m * 5**k < 2**96 as two words, from products of 32-bit halves
+    low32 = _U64(0xFFFFFFFF)
+    m_hi, m_lo, p_hi, p_lo = m >> _U64(32), m & low32, p >> _U64(32), p & low32
+    middle = m_hi * p_lo + m_lo * p_hi
+    low = m_lo * p_lo
+    word0 = low + (middle << _U64(32))
+    word1 = m_hi * p_hi + (middle >> _U64(32)) + (word0 < low)
+    quotient = (word0 >> s) | (word1 << (_U64(64) - s))
+    rest = word0 & ((_U64(1) << s) - _U64(1))
+    found = []
+    for step in range(3):  # L = 15, 16, 17
+        if step:  # m * 5**(k+1) / 2**(s-1) = 10 * (quotient + rest / 2**s)
+            rest = rest * _U64(5)
+            s = s - _U64(1)
+            quotient = quotient * _U64(10) + (rest >> s)
+            rest = rest & ((_U64(1) << s) - _U64(1))
+            p = p * _U64(5)
+        half = _U64(1) << (s - _U64(1))
+        twice = rest << _U64(1)
+        # 2 * min(rest, 2**s - rest) < 5**k
+        reads = (twice < p) | (twice + p > (half << _U64(2)))
+        found.append((quotient + (rest > half), reads, rest == half))
+    (n15, reads15, tie15), (n16, reads16, tie16), (n17, reads17, tie17) = found
+    use16 = reads16 & ~reads15
+    use17 = reads17 & ~(reads15 | reads16)
+    # products with the masks select, where np.where would branch per element;
+    # digits is 0, outside the range below, where no N_L reads back
+    digits = n15 * _U64(100) * reads15 + n16 * _U64(10) * use16 + n17 * use17
+    tie = (tie15 & reads15) | (tie16 & use16) | (tie17 & use17)
+    exact = ~tie & (digits >= _U64(10**16)) & (digits < _U64(10**17))
+    return np.where(exact, digits, _U64(10**16)), e10, exact
+
+
+def _digit_lanes(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each v < 10**8, one per byte of a
+    little-endian word, first digit first: the lanes split 8 -> 2x4 -> 4x2
+    -> 8x1 digits."""
+    high = v // _U64(10**4)
+    v = high | ((v - high * _U64(10**4)) << _U64(32))
+    high = ((v * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)  # lane // 100
+    v = high | ((v - high * _U64(100)) << _U64(16))
+    high = ((v * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # lane // 10
+    return high | ((v - high * _U64(10)) << _U64(8))
+
+
+def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """repr() of each float, as (n, _SLOT) uint8 slots and a mask over them:
+    chars[i][keep[i]] is repr(values[i]) byte for byte, and byte 0 of each
+    slot is spare (never kept).
+
+    Finite values with 1e-4 <= |x| < 1e15 and a mantissa that is not a power
+    of two go through _shortest_digits, all at once; repr() formats the rest
+    one by one: zero, subnormals, powers of two, non-finite values, values
+    outside that range, and the kernel's ties and misses.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    pow5, keep_table = _format_tables()
+    a = np.abs(x)
+    direct = (a >= 1e-4) & (a < 1e15) & (x.view(_U64) & _FRACTION != 0)
+    # the others get a stand-in from the domain, so the arithmetic stays in range
+    digits, e10, exact = _shortest_digits(np.where(direct, a, 1.5), pow5)
+    direct &= exact
+    lead = digits // _U64(10**16)
+    tail = digits - lead * _U64(10**16)
+    high = tail // _U64(10**8)
+    lanes = _digit_lanes(high), _digit_lanes(tail - high * _U64(10**8))
+    words = np.empty((len(x), 6), "<u8")
+    words[:, 1] = words[:, 4] = lanes[0] + _ZEROS
+    words[:, 2] = words[:, 5] = lanes[1] + _ZEROS
+    lead = (lead + _U64(ord("0"))) << _U64(56)
+    words[:, 0] = lead | _PREFIX
+    words[:, 3] = lead | _POINT
+    # digits up to the last nonzero one: a 1 marks each nonzero lane, the
+    # marks are copied into every lower lane, and a product sums the lanes
+    marks = []
+    for lane in lanes:
+        mark = ((lane + _U64(0x7F7F7F7F7F7F7F7F)) >> _U64(7)) & _ONES
+        for shift in (8, 16, 32):
+            mark |= mark >> _U64(shift)
+        marks.append(mark)
+    marks[0] |= (marks[1] != 0) * _ONES
+    shown = 1 + ((marks[0] + marks[1]) * _ONES >> _U64(56)).astype(np.int64)
+    point = e10 + 1
+    # at least one digit after the point
+    shown = np.maximum(shown, point + 1, where=point >= 1, out=shown)
+    # the table's row for (sign, point + 3, shown) in its (2, 19, 18) layout
+    keep = keep_table.take(((x < 0) * 19 + point + 3) * 18 + shown, axis=0)
+    chars = words.view(np.uint8)
+    by_repr = np.flatnonzero(~direct)
+    if len(by_repr):
+        texts, kept = _label_bytes(list(map(repr, x[by_repr].tolist())))
+        chars[by_repr, 1 : 1 + texts.shape[1]] = texts  # repr() is at most 24 bytes
+        keep[by_repr] = False
+        keep[by_repr, 1 : 1 + texts.shape[1]] = kept
+    return chars, keep
+
+
 def _write_long_csv(
     path: str, meta: dict | None, unit_ids, period_ids, columns: dict[str, np.ndarray]
 ) -> None:
     """One row per (unit, period), units outer; each column is an (N, T) array
-    whose values are written as repr(float), one block of units at a time."""
+    whose values are written as repr(float), one block of units at a time.
+
+    A block's rows are laid out as one byte matrix (labels, value slots,
+    commas, newlines) with one mask over it; the kept bytes are its text.
+    """
     n, t = len(unit_ids), len(period_ids)
     values = []
     for name, column in columns.items():
@@ -123,7 +295,11 @@ def _write_long_csv(
             raise ValidationError(f"column {name} has shape {column.shape}, not ({n}, {t})")
         values.append(column)
     _check_labels(unit_ids, period_ids)
-    units, periods = _csv_fields(unit_ids), _csv_fields(period_ids)
+    units = _label_bytes([field + "," for field in _csv_fields(unit_ids)])
+    periods = _label_bytes(_csv_fields(period_ids))
+    unit_width = units[0].shape[1]
+    label_width = unit_width + periods[0].shape[1]
+    width = label_width + len(values) * _SLOT + 1  # each slot's spare byte 0 takes a comma
     block_units = max(1, _WRITE_BLOCK_ROWS // max(t, 1))
     with _atomic_open(path) as handle:
         handle.writelines(line + "\n" for line in _meta_lines(meta))
@@ -131,11 +307,18 @@ def _write_long_csv(
         for start in range(0, n, block_units):
             stop = min(start + block_units, n)
             block = np.stack([column[start:stop] for column in values], axis=-1)
-            cells = map(repr, block.ravel().tolist())
-            # zipping one iterator with itself groups each row's cells
-            rows = map(",".join, zip(*[cells] * len(values)))
-            keys = (f"{unit},{period}," for unit in units[start:stop] for period in periods)
-            handle.write("".join(key + row + "\n" for key, row in zip(keys, rows)))
+            rows = np.empty((stop - start, t, width), np.uint8)
+            keep = np.empty(rows.shape, bool)
+            for out, unit, period, slots in zip(
+                (rows, keep), units, periods, _format_floats(block)
+            ):
+                out[..., :unit_width] = unit[start:stop, None]
+                out[..., unit_width:label_width] = period
+                out[..., label_width:-1] = slots.reshape(*rows.shape[:2], width - label_width - 1)
+            rows[..., label_width:-1:_SLOT] = ord(",")
+            rows[..., -1] = ord("\n")
+            keep[..., label_width::_SLOT] = True
+            handle.write(rows[keep].tobytes().decode("utf-8", "surrogatepass"))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +588,55 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return out
 
 
+_TYPE_WORDS = {int: "an integer", float: "a number"}
+
+
+def _cast(value, cast, name: str):
+    """`value` as an int or a float, or a DataError that names the field.
+
+    A bool is refused, and so is a float with a fraction where an int is due.
+    """
+    error = DataError(f"{name} must be {_TYPE_WORDS[cast]}, got {value!r}")
+    if isinstance(value, bool) or (
+        cast is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise error
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error from None
+
+
+def _model_params(params, default) -> ModelParams:
+    """base_params from JSON, or default() where the key is absent."""
+    if params is None:
+        return default()
+    if not isinstance(params, dict):
+        raise DataError(f"base_params must be an object, got {params!r}")
+    scalars = ("beta0", "rho", "sigma_psi", "sigma_eps")
+    params = {
+        name: _cast(value, float, f"base_params.{name}") if name in scalars else value
+        for name, value in params.items()
+    }
+    try:
+        return ModelParams(**params)
+    except TypeError as err:
+        raise DataError(f"bad base_params: {err}") from err
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     data = dict(data)
-    params = data.pop("base_params", None)
+    base = _model_params(data.pop("base_params", None), ModelParams)
+    for name, cast in (
+        ("n_units", int),
+        ("n_periods", int),
+        ("contamination_fraction", float),
+        ("temporal_shift_r", float),
+        ("spatial_shift_g", float),
+    ):
+        if name in data:
+            data[name] = _cast(data[name], cast, name)
     try:
-        base = ModelParams(**params) if params is not None else ModelParams()
         return Scenario(base_params=base, **data)
     except TypeError as err:
         raise DataError(f"bad scenario JSON: {err}") from err
@@ -443,7 +670,7 @@ def write_scenario_json(scenario: Scenario, path: str, meta: dict | None = None)
 def grid_from_dict(data: dict) -> GridSpec:
     data = dict(data)
     data.pop("meta", None)
-    params = data.pop("base_params", None)
+    base = _model_params(data.pop("base_params", None), default_power_params)
     kwargs: dict = {}
     list_fields = {
         "test_kinds": str,
@@ -455,13 +682,21 @@ def grid_from_dict(data: dict) -> GridSpec:
     }
     for name, cast in list_fields.items():
         if name in data:
-            kwargs[name] = tuple(cast(v) for v in data.pop(name))
-    for name in ("boot_k", "alpha", "ar_order_p", "series_source", "te_source"):
+            values = data.pop(name)
+            if not isinstance(values, list):
+                raise DataError(f"{name} must be a list, got {values!r}")
+            kwargs[name] = tuple(
+                str(v) if cast is str else _cast(v, cast, f"{name}[{i}]")
+                for i, v in enumerate(values)
+            )
+    for name, cast in (("boot_k", int), ("alpha", float), ("ar_order_p", int)):
+        if name in data:
+            kwargs[name] = _cast(data.pop(name), cast, name)
+    for name in ("series_source", "te_source"):
         if name in data:
             kwargs[name] = data.pop(name)
     if data:
         raise DataError(f"unknown grid fields: {sorted(data)}")
-    base = ModelParams(**params) if params is not None else default_power_params()
     try:
         return GridSpec(base_params=base, **kwargs)
     except TypeError as err:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -19,7 +20,7 @@ from stfrontier import (
     ValidationError,
     simulate_panel,
 )
-from stfrontier.cli import parse_and_dispatch
+from stfrontier.cli import _build_parser, parse_and_dispatch
 from stfrontier.io import (
     _parse_header,
     read_panel_csv,
@@ -546,6 +547,53 @@ class TestWriter:
                                    units, periods, {"te": te})
         assert target.read_bytes() == expected.encode()
 
+    def test_non_ascii_labels_are_written_as_utf8(self, tmp_path):
+        te = np.random.default_rng(8).uniform(size=(3, 2))
+        units, periods = ["é", "単位", 'a"é,'], ["1", "期間 2"]
+        target = tmp_path / "te.csv"
+        write_te_csv(te, units, periods, str(target), {"command": "t", "seed": 2})
+        expected = oracle_long_csv(["# version: " + stio.__version__, "# command: t", "# seed: 2"],
+                                   units, periods, {"te": te})
+        assert target.read_bytes() == expected.encode("utf-8")
+        assert read_te_csv(str(target))[1:] == (tuple(units), tuple(periods))
+
+    @pytest.mark.parametrize("units, periods", [(["a", "b"], []), ([], ["1", "2", "3"])])
+    def test_empty_matrix_writes_the_header_only(self, tmp_path, units, periods):
+        target = tmp_path / "te.csv"
+        te = np.empty((len(units), len(periods)))
+        write_te_csv(te, units, periods, str(target), {"command": "t"})
+        expected = oracle_long_csv(["# version: " + stio.__version__, "# command: t"],
+                                   units, periods, {"te": te})
+        assert target.read_text() == expected
+
+    def test_pinned_panel_and_te_bytes(self, tmp_path):
+        # the seed was fixed before these digests were recorded from the
+        # writer that called repr() once per value
+        panel, _, u, _ = simulate_panel(Scenario(n_units=300, n_periods=60, seed=3031))
+        meta = {"command": "pinned", "seed": 3031}
+        write_panel_csv(panel, str(tmp_path / "panel.csv"), meta)
+        write_te_csv(np.exp(-u), panel.unit_ids, panel.period_ids, str(tmp_path / "te.csv"), meta)
+        assert sha(tmp_path / "panel.csv") == (
+            "775a3ac20c32d2295e81bd8c41ed12a25fc68dd08f3115dfb41db96456ff461c"
+        )
+        assert sha(tmp_path / "te.csv") == (
+            "682fc7268c97d6ca3c4bbe88412fa418322a3ded10c2529593d3bba10bc953be"
+        )
+
+    def test_memory_peak_below_the_readers(self, tmp_path):
+        # read_panel_csv peaks at 29.0 MiB on this panel, so the writer stays
+        # below the peak that estimating from the same CSV reaches anyway
+        panel = simulate_panel(Scenario(n_units=2000, n_periods=60, seed=4))[0]
+        target = str(tmp_path / "panel.csv")
+        write_panel_csv(panel, target)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            write_panel_csv(panel, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 29 * 2**20
+
     @pytest.mark.parametrize(
         "units, periods, bad",
         [
@@ -836,6 +884,57 @@ class TestCli:
             )
             == 1
         )
+
+    def test_parser_is_built_once_and_keeps_no_arguments(self, tmp_path, scenario_file):
+        assert _build_parser() is _build_parser()
+        out = tmp_path / "panel.csv"
+        argv = ["simulate", "--scenario", str(scenario_file), "--out", str(out)]
+        assert parse_and_dispatch(argv[:3] + ["--seed", "7"] + argv[3:]) == 0
+        assert "# seed: 7\n" in out.read_text()
+        assert parse_and_dispatch(argv) == 0  # no --seed: the scenario's, not the last call's
+        assert "# seed: 202\n" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"ar_order_p": "two"}, "ar_order_p must be an integer, got 'two'"),
+            ({"boot_k": "many"}, "boot_k must be an integer, got 'many'"),
+            ({"alpha": "0.05x"}, "alpha must be a number, got '0.05x'"),
+            ({"n_values": 5}, "n_values must be a list, got 5"),
+            ({"n_values": ["x"]}, "n_values[0] must be an integer, got 'x'"),
+            ({"base_params": {"rho": "a"}}, "base_params.rho must be a number, got 'a'"),
+            ({"base_params": [1]}, "base_params must be an object, got [1]"),
+        ],
+    )
+    def test_bad_grid_field_named(self, tmp_path, capsys, fields, message):
+        grid = tmp_path / "grid.json"
+        spec = {"test_kinds": ["spatial"], "n_values": [8], "t_values": [9],
+                "dominances": ["equal"], "fractions": [0.2], "shifts": [1.5], "boot_k": 100}
+        grid.write_text(json.dumps({**spec, **fields}))
+        out = tmp_path / "power.csv"
+        code = parse_and_dispatch(
+            ["power", "--grid", str(grid), "--reps", "1", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_units": "x"}, "n_units must be an integer, got 'x'"),
+            ({"n_units": 20.5}, "n_units must be an integer, got 20.5"),
+            ({"base_params": {"rho": "a"}}, "base_params.rho must be a number, got 'a'"),
+        ],
+    )
+    def test_bad_scenario_field_named(self, tmp_path, capsys, fields, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"n_units": 8, "n_periods": 9, "seed": 3, **fields}))
+        out = tmp_path / "panel.csv"
+        code = parse_and_dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, scenario_file):
         code = parse_and_dispatch(
