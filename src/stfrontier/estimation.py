@@ -14,6 +14,10 @@ Three steps, run once (no outer loop):
 
 These two fits, and the AR and spatial-slice fits of the homogeneity tests,
 are solved by least_squares, which also judges whether a design is singular.
+
+The logit comes from frontier, which evaluates scipy.special.logit's formula
+through the C library. scipy itself is imported only to name the collinear
+columns of a singular design, so a run on a regular design never loads it.
 """
 
 from __future__ import annotations
@@ -21,15 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logit
 
 from .errors import EstimationError
-from .frontier import inefficiency_mean, technical_efficiency
+from .frontier import inefficiency_mean, logit, technical_efficiency
 from .types import PanelDataset
 
 #: Clamp width for the logit transform of residual inefficiencies.
 CLAMP_DELTA = 1e-6
+
+#: logit(CLAMP_DELTA) and logit(1-CLAMP_DELTA), the responses of clamped cells.
+_CLAMPED_LOGITS = tuple(logit([CLAMP_DELTA, 1.0 - CLAMP_DELTA]))
 
 #: Residual variance below which the AR coefficient is pinned to zero.
 _DEGENERATE_VAR = 1e-12
@@ -55,6 +60,8 @@ def least_squares(
     coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=None)
     rank = min(rank, int(np.count_nonzero(sv * _MAX_CONDITION >= sv[0])))
     if rank < design.shape[1]:
+        import scipy.linalg
+
         _, _, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
         collinear = sorted(names[j] for j in pivots[rank:])
         raise EstimationError(f"{singular}; collinear columns: " + ", ".join(collinear))
@@ -179,11 +186,16 @@ def fit_efficiency_glm(
     u* = -u_hat estimates the inefficiency up to noise; values are clamped
     into [CLAMP_DELTA, 1-CLAMP_DELTA] before the logit, which is regressed on
     (w, z) without intercept. Returns (gamma_hat, phi_hat, clamp_count).
+    Clamped cells take the logit of their bound from _CLAMPED_LOGITS.
     """
-    u_star = -frontier.residuals_u
+    u_star = -frontier.residuals_u.ravel()
     lo, hi = CLAMP_DELTA, 1.0 - CLAMP_DELTA
-    clamp_count = int(((u_star < lo) | (u_star > hi)).sum())
-    response = logit(np.clip(u_star, lo, hi)).ravel()
+    low, high = u_star < lo, u_star > hi
+    inside = ~(low | high)
+    clamp_count = u_star.size - int(np.count_nonzero(inside))
+    response = np.empty_like(u_star)
+    response[low], response[high] = _CLAMPED_LOGITS
+    response[inside] = logit(u_star[inside])
     if response.var() < _DEGENERATE_VAR:
         raise EstimationError(
             "inefficiency signal absent: the transformed residuals have no variance"

@@ -38,6 +38,7 @@ from . import __version__
 from .assumption_tests import TestReport
 from .errors import DataError, ValidationError
 from .estimation import EstimationResult
+from .frontier import elementwise
 from .power import GridSpec, PowerTable, default_power_params
 from .types import ModelParams, PanelDataset, Scenario
 
@@ -536,9 +537,8 @@ def read_panel_csv(path: str) -> PanelDataset:
         row_checks,
         lambda unit, period: f"duplicate cell (unit {unit}, period {period})",
     )
-    y = table[..., 0].ravel().tolist()
     return PanelDataset(
-        log_output=np.fromiter(map(math.log, y), float, len(y)).reshape(table.shape[:2]),
+        log_output=elementwise(math.log, table[..., 0]),
         log_inputs=np.log(table[..., 1 : 1 + p]),
         spatial=table[..., 1 + p : 1 + p + q],
         covariates=table[..., 1 + p + q :],

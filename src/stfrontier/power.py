@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .assumption_tests import (
+    SERIES_SOURCES,
     TestConfig,
     check_ar_length,
     test_constant_spatial,
@@ -35,7 +36,7 @@ from .estimation import estimate_model
 from .frontier import technical_efficiency
 from .rng import check_seed, derive_seed
 from .simulate import simulate_panel
-from .types import DOMINANCE_SHARES, ModelParams, Scenario
+from .types import DOMINANCE_SHARES, ModelParams, Scenario, as_count
 
 TEST_KINDS = ("temporal", "spatial")
 TE_SOURCES = ("true", "estimated")
@@ -193,6 +194,19 @@ class GridSpec:
         for dom in self.dominances:
             if dom not in DOMINANCE_SHARES:
                 raise ValidationError(f"unknown dominance {dom!r}")
+        if self.series_source not in SERIES_SOURCES:
+            raise ValidationError(
+                f"series_source must be one of {SERIES_SOURCES}, got {self.series_source!r}"
+            )
+        if self.te_source not in TE_SOURCES:
+            raise ValidationError(
+                f"te_source must be one of {TE_SOURCES}, got {self.te_source!r}"
+            )
+        for name in ("n_values", "t_values"):
+            counts = tuple(
+                as_count(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name))
+            )
+            object.__setattr__(self, name, counts)
         if not self.n_values or not self.t_values or not self.dominances:
             raise ValidationError("grid must span at least one (n, T, dominance) cell")
         if "temporal" in self.test_kinds:

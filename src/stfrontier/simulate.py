@@ -24,10 +24,9 @@ ceil(fraction*T) periods receives gamma_t = gamma*(1+g).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError
-from .frontier import cobb_douglas_log
+from .frontier import cobb_douglas_log, expit
 from .rng import substream
 from .types import DOMINANCE_SHARES, ModelParams, PanelDataset, Scenario
 

@@ -29,6 +29,16 @@ def _as_float_tuple(values, name: str) -> tuple[float, ...]:
     return out
 
 
+def as_count(value, name: str) -> int:
+    """``value`` as an int; a float with a fraction, a bool or a non-number is a
+    ValidationError that names the field, where int() would truncate or raise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Generative parameters of the frontier panel model.
@@ -171,12 +181,12 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_units) < 2:
+        object.__setattr__(self, "n_units", as_count(self.n_units, "n_units"))
+        object.__setattr__(self, "n_periods", as_count(self.n_periods, "n_periods"))
+        if self.n_units < 2:
             raise ValidationError(f"at least two spatial units required, got N={self.n_units}")
-        if int(self.n_periods) < 3:
+        if self.n_periods < 3:
             raise ValidationError(f"at least three time points required, got T={self.n_periods}")
-        object.__setattr__(self, "n_units", int(self.n_units))
-        object.__setattr__(self, "n_periods", int(self.n_periods))
         if self.dominance not in DOMINANCE_SHARES:
             raise ValidationError(
                 f"dominance must be one of {sorted(DOMINANCE_SHARES)}, got {self.dominance!r}"

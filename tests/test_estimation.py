@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from stfrontier import (
     EstimationError,
@@ -13,6 +15,7 @@ from stfrontier import (
     fit_frontier_gls,
     simulate_panel,
 )
+from stfrontier import estimation
 from stfrontier.estimation import predict_te
 from stfrontier.rng import derive_seed
 
@@ -165,6 +168,29 @@ class TestEfficiencyGLM:
         )
         _, _, clamp_count = fit_efficiency_glm(bumped, panel)
         assert clamp_count == 2
+
+    def test_response_is_scipy_logit_of_clipped_residuals(self, monkeypatch):
+        # the clamped cells share one logit per bound; the response must keep
+        # the bits of logit(clip(u*)) over the whole panel
+        panel = default_panel(n=200, t=30)[0]
+        frontier = fit_frontier_gls(panel)
+        res = frontier.residuals_u.copy()
+        res[::7, 0] = -1.5  # u* = 1.5, above the clamp
+        frontier = replace(frontier, residuals_u=res)
+        responses = []
+        solve = estimation.least_squares
+        monkeypatch.setattr(
+            estimation, "least_squares",
+            lambda design, response, *args: responses.append(response) or solve(
+                design, response, *args
+            ),
+        )
+        _, _, clamp_count = fit_efficiency_glm(frontier, panel)
+        lo, hi = estimation.CLAMP_DELTA, 1.0 - estimation.CLAMP_DELTA
+        u_star = -frontier.residuals_u
+        assert 0 < np.count_nonzero(u_star < lo) and 0 < np.count_nonzero(u_star > hi)
+        assert clamp_count == np.count_nonzero((u_star < lo) | (u_star > hi))
+        np.testing.assert_array_equal(responses[0], logit(np.clip(u_star, lo, hi)).ravel())
 
     def test_duplicated_regressor_raises(self):
         panel, frontier = self.synthetic()

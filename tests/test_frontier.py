@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
 from stfrontier import (
     TE_LOWER,
@@ -11,6 +13,8 @@ from stfrontier import (
     te_to_logit,
     technical_efficiency,
 )
+from stfrontier.estimation import CLAMP_DELTA
+from stfrontier.frontier import elementwise, expit, logit
 
 
 class TestCobbDouglas:
@@ -133,3 +137,76 @@ class TestTeToLogit:
         u = inefficiency_mean(w, z, gamma, phi)
         eta = w[0] * gamma[0] + z[0] * phi[0]
         assert te_to_logit(technical_efficiency(u)) == pytest.approx(eta, abs=1e-10)
+
+
+class TestLogisticPairMatchesScipy:
+    """frontier.expit/logit against scipy.special, compared bit for bit.
+
+    Both sides evaluate one formula with the C library's exp, log and log1p
+    on the same doubles, so any difference at all is a fault.
+    """
+
+    EDGES = [
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+        math.log(sys.float_info.max), -math.log(sys.float_info.max),
+        math.nextafter(math.log(sys.float_info.max), math.inf),
+        -math.nextafter(math.log(sys.float_info.max), math.inf),
+        745.2, -745.2, 1e308, -1e308,
+    ]
+    UNIT_EDGES = [
+        0.0, -0.0, 1.0, 0.5, 0.3, 0.65, 1e-6, 1.0 - 1e-6, 5e-324,
+        math.nextafter(0.3, 0.0), math.nextafter(0.3, 1.0),
+        math.nextafter(0.65, 0.0), math.nextafter(0.65, 1.0),
+        math.nextafter(1.0, 0.0), -0.5, 1.5, math.inf, -math.inf, math.nan,
+    ]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        same = (got == want) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), (np.count_nonzero(~same), got[~same][:5], want[~same][:5])
+        # signed zeros must match too
+        np.testing.assert_array_equal(np.signbit(got[got == 0]), np.signbit(want[want == 0]))
+
+    def test_expit_sweep(self):
+        rng = np.random.default_rng(2104)
+        n = 400_000
+        x = np.concatenate([
+            rng.normal(0.0, 3.0, n),
+            rng.normal(0.0, 60.0, n),
+            rng.uniform(-800.0, 800.0, n),
+            np.exp(rng.uniform(-745.0, 709.0, n)) * rng.choice([-1.0, 1.0], n),
+            self.EDGES,
+        ])
+        self.assert_same_bits(expit(x), special.expit(x))
+
+    def test_logit_sweep(self):
+        rng = np.random.default_rng(1352)
+        n = 400_000
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, n),
+            rng.uniform(0.29, 0.66, n),
+            special.expit(rng.normal(0.0, 8.0, n)),
+            np.exp(rng.uniform(-745.0, 0.0, n)),
+            rng.uniform(-1.0, 2.0, 1000),
+            self.UNIT_EDGES,
+        ])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = special.logit(p)
+        self.assert_same_bits(logit(p), want)
+
+    def test_clamp_constants(self):
+        bounds = np.array([CLAMP_DELTA, 1.0 - CLAMP_DELTA])
+        self.assert_same_bits(logit(bounds), special.logit(bounds))
+
+    def test_shape_kept(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        self.assert_same_bits(expit(x), special.expit(x))
+        self.assert_same_bits(logit(expit(x)), special.logit(special.expit(x)))
+        assert expit(np.float64(0.25)).shape == ()
+
+    def test_elementwise_is_the_c_library(self):
+        x = np.array([[0.1, 2.0], [3.5, 1e300]])
+        np.testing.assert_array_equal(
+            elementwise(math.log, x), [[math.log(v) for v in row] for row in x.tolist()]
+        )

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from array import array
 
@@ -904,6 +907,11 @@ class TestCli:
             ({"n_values": ["x"]}, "n_values[0] must be an integer, got 'x'"),
             ({"base_params": {"rho": "a"}}, "base_params.rho must be a number, got 'a'"),
             ({"base_params": [1]}, "base_params must be an object, got [1]"),
+            (
+                {"series_source": "bogus"},
+                "series_source must be one of ('frontier_residuals', 'log_output'), got 'bogus'",
+            ),
+            ({"te_source": 3}, "te_source must be one of ('true', 'estimated'), got 3"),
         ],
     )
     def test_bad_grid_field_named(self, tmp_path, capsys, fields, message):
@@ -935,6 +943,41 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_commands_never_import_scipy(self, tmp_path):
+        # scipy is loaded only to name the columns of a singular design; the
+        # collinear-columns tests cover that path
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from stfrontier.cli import parse_and_dispatch
+            json.dump({"n_units": 30, "n_periods": 12, "seed": 4}, open("s.json", "w"))
+            json.dump({"n_values": [30], "t_values": [12], "dominances": ["equal"],
+                       "fractions": [0.2], "shifts": [1.0], "boot_k": 100,
+                       "te_source": "estimated"}, open("g.json", "w"))
+            codes = [parse_and_dispatch(argv.split()) for argv in (
+                "simulate --scenario s.json --out p.csv",
+                "estimate --panel p.csv --out e.json --te-out te.csv",
+                "test-temporal --panel p.csv --boot-k 100 --seed 1 --out t.json",
+                "test-spatial --panel p.csv --boot-k 100 --seed 1 --out s1.json",
+                "test-spatial --panel p.csv --te te.csv --boot-k 100 --seed 1 --out s2.json",
+                "power --grid g.json --reps 1 --seed 1 --out pw.csv",
+            )]
+            print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(stio.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+        assert all(code in (0, 3) for code in codes), codes
+        assert (tmp_path / "pw.csv").exists()
+        assert scipy_modules == []
 
     def test_negative_seed_rejected(self, tmp_path, scenario_file):
         code = parse_and_dispatch(

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,6 +175,25 @@ class TestGridSpec:
             tiny_grid(test_kinds=("spatial", "temporal"), t_values=t_values, ar_order_p=p)
         # the rule binds the temporal test only
         assert list(tiny_grid(t_values=t_values, ar_order_p=p).cells())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_values": (8, 20.5)}, "n_values[1] must be an integer, got 20.5"),
+            ({"t_values": (9.9,)}, "t_values[0] must be an integer, got 9.9"),
+            ({"series_source": "bogus"}, "series_source must be one of"),
+            ({"te_source": "model"}, "te_source must be one of"),
+        ],
+    )
+    def test_bad_field_refused_before_any_cell(self, fields, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            tiny_grid(**fields)
+
+    def test_integral_float_sizes_accepted(self):
+        grid = tiny_grid(n_values=(8.0,), t_values=(9.0,))
+        assert (grid.n_values, grid.t_values) == ((8,), (9,))
+        assert all(type(v) is int for v in grid.n_values + grid.t_values)
+        assert [(sc.n_units, sc.n_periods) for sc, _ in grid.cells()] == [(8, 9), (8, 9)]
 
     def test_temporal_grid_accepts_the_shortest_allowed_series(self):
         grid = tiny_grid(test_kinds=("temporal",), t_values=(11, 12), ar_order_p=3)

@@ -117,6 +117,27 @@ class TestScenario:
         with pytest.raises(ValidationError, match="dominance"):
             Scenario(n_units=10, n_periods=6, dominance="both")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_units": 20.5}, "n_units must be an integer, got 20.5"),
+            ({"n_periods": 9.9}, "n_periods must be an integer, got 9.9"),
+            ({"n_units": np.float64(7.25)}, "n_units must be an integer, got np.float64(7.25)"),
+            ({"n_units": float("inf")}, "n_units must be an integer, got inf"),
+            ({"n_periods": True}, "n_periods must be an integer, got True"),
+            ({"n_units": "20"}, "n_units must be an integer, got '20'"),
+        ],
+    )
+    def test_non_integral_size_named(self, fields, message):
+        with pytest.raises(ValidationError) as err:
+            Scenario(**{"n_units": 20, "n_periods": 12, **fields})
+        assert str(err.value).endswith(message)
+
+    def test_integral_sizes_become_ints(self):
+        sc = Scenario(n_units=20.0, n_periods=np.int64(12))
+        assert (sc.n_units, sc.n_periods) == (20, 12)
+        assert type(sc.n_units) is int and type(sc.n_periods) is int
+
 
 class TestSimulatePanel:
     def test_same_seed_bit_identical(self):
