@@ -6,9 +6,15 @@ atomically (temp file + rename) with the file mode a plain open() would give.
 No timestamps, so identical runs produce identical bytes.
 
 Both long-CSV readers share one parser: it reads the file once, in blocks of
-lines, and parses each block with one np.loadtxt call; every row check is an
-array mask. The long-CSV writer formats and writes one block of units at a
-time, so neither direction holds the whole text in memory.
+lines, and every row check is an array mask. A plain block, laid out as the
+writer lays it out, is parsed as bytes, the mirror of the writer: one pass
+finds the separators, _parse_floats reads every value at once with exact
+integer arithmetic (Clinger 1990; Lemire 2021, "Number Parsing at a Gigabyte
+per Second"), and each label is keyed by its bytes. The few values outside
+the kernel's domain go to one np.loadtxt call. Any other block, or one where
+that call fails, is parsed with one np.loadtxt call for the block, which
+finds and words the error. The long-CSV writer formats and writes one block
+of units at a time, so neither direction holds the whole text in memory.
 
 The writer prints each float as repr() does, without calling repr() per
 value: _format_floats finds the shortest digits that read back with exact
@@ -31,6 +37,7 @@ import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
+from io import StringIO
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from .errors import DataError, ValidationError
 from .estimation import EstimationResult
 from .frontier import elementwise
 from .power import GridSpec, PowerTable, default_power_params
-from .types import ModelParams, PanelDataset, Scenario
+from .types import ModelParams, PanelDataset, Scenario, as_count
 
 
 def _versioned(meta: dict | None) -> dict:
@@ -86,7 +93,7 @@ def _atomic_write(path: str, text: str) -> None:
 # Block sizes for writing and reading long CSVs: they bound the memory that a
 # write or a parse holds beyond its input or its result.
 _WRITE_BLOCK_ROWS = 4096
-_READ_BLOCK_CHARS = 1 << 20
+_READ_BLOCK_CHARS = 1 << 19
 
 
 class _Echo:
@@ -401,9 +408,194 @@ def _parses(line: str, dtype) -> bool:
         return False
 
 
+# A plain block holds no byte below '$' but newlines, so no '"', '#', CR,
+# blank, tab or NUL, and a newline closes each of its lines after exactly
+# width + 1 commas: every line is a data row whose fields lie between
+# separators, as the writer lays them out. _decimal_fields reads each value
+# from the _WINDOW bytes that end at its separator.
+_WINDOW = 24
+_HIGHS = _ONES * _U64(0x80)
+
+
+@functools.cache
+def _parse_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The masks keep[j, x] of the bytes of window word j (window bytes
+    8j..8j+7) at or above window byte x, x = 0..24; the multipliers that turn
+    a flag in byte i of word j into 8j + i + 1; and 5**k and 10.0**k for
+    k = 0..22, all exact. Built on first use."""
+    low = [
+        [(1 << 8 * min(max(x - 8 * j, 0), 8)) - 1 for x in range(_WINDOW + 1)] for j in range(3)
+    ]
+    marks = [sum((8 * j + i + 1) << 8 * (7 - i) for i in range(8)) for j in range(3)]
+    pow5 = np.array([5**k for k in range(23)], _U64)
+    pow10 = np.array([float(10**k) for k in range(23)])
+    return ~np.array(low, _U64), np.array(marks, _U64), pow5, pow10
+
+
+def _unaligned_words(chars: np.ndarray) -> np.ndarray:
+    """The little-endian 64-bit word that starts at each byte of `chars`."""
+    return np.ndarray((len(chars) - 7,), "<u8", chars, strides=(1,))
+
+
+def _decimal_fields(chars: np.ndarray, ends: np.ndarray, lengths: np.ndarray):
+    """The digits N and the count k of digits after the point of each field
+    chars[end - length:end] of the form [-]digits[.digits], with its sign and
+    a mask of the fields of that form with at most 24 bytes, N < 10**19 and
+    k <= 22. chars needs _WINDOW bytes before the first field.
+
+    Each field is read as three words that end at its separator, with 0 in
+    the bytes before its digits and the point taken out, so that the words
+    hold 24 digits; SWAR lanes turn each word into an integer < 10**8.
+    """
+    keep, marks = _parse_tables()[:2]
+    words = _unaligned_words(chars)
+    negative = chars[ends - lengths] == ord("-")
+    lead = _WINDOW - lengths + negative  # window bytes before the digits
+    # digits become bytes 0..9 and the bytes before them 0; a flag marks each
+    # byte above 15, as the point (0x1E) is
+    window, point = [], 0
+    for j, mark in enumerate(marks):
+        word = (words[ends - (_WINDOW - 8 * j)] ^ _ZEROS) & keep[j].take(lead, mode="clip")
+        window.append(word)
+        flag = (word + _U64(0x7070707070707070)) & _HIGHS
+        point = point + ((flag >> _U64(7)) * mark >> _U64(56))
+    # one past the flagged byte, or 0 without a flag; a second flag leaves a
+    # byte above 9 in the window, which the digit check below refuses
+    point = np.minimum(point, _WINDOW).astype(np.intp)
+    has_point = point > 0
+    valid = (
+        (lengths <= _WINDOW)
+        & (lengths - negative > has_point)  # at least one digit
+        & ((chars[ends - (_WINDOW + 1) + point] == ord(".")) | ~has_point)
+        & (point != 1)  # 23 digits after the point
+    )
+    # the bytes below the point move up one, and a 0 comes in at byte 0
+    below, spill = _U64(0), _U64(0)
+    for j, word in enumerate(window):
+        moved = word << _U64(8) | below
+        below = word >> _U64(56)
+        word = moved ^ (word ^ moved) & keep[j].take(point)
+        spill = spill | word | (word + _U64(0x7676767676767676))  # 0x80 in a byte above 9
+        v = word * _U64(10 << 8 | 1) >> _U64(8)
+        v = (v & _U64(0x00FF00FF00FF00FF)) * _U64(100 << 16 | 1) >> _U64(16)
+        window[j] = (v & _U64(0x0000FFFF0000FFFF)) * _U64(10**4 << 32 | 1) >> _U64(32)
+    valid &= (spill & _HIGHS == 0) & (window[0] < 1000)  # N < 10**19
+    n = (window[0] * _U64(10**8) + window[1]) * _U64(10**8) + window[2]
+    return n, (_WINDOW - point) * (point > 1), negative, valid
+
+
+def _nearest_doubles(n: np.ndarray, k: np.ndarray):
+    """The bits of the double nearest to each N / 10**k, N < 10**19 and
+    k <= 22, ties to even, and the mask of the ones found.
+
+    c = fl(fl(N) / 10**k) is exact for N <= 2**53 (Clinger 1990) and within
+    2 ulp of N / 10**k otherwise. Write c = m * 2**q and s = 1 - q - k. Then
+        R = N * 2**max(s, 0) - 2m * 5**k * 2**max(-s, 0)
+    is 2 (N / 10**k - c) / ulp(c) in units of H = 5**k * 2**max(-s, 0), the
+    half ulp, so |R| <= 4H < 2**54 and R is exact in wrapping 64-bit
+    integers. Moving m by round(R / 2H), ties to even m, gives the nearest
+    double. A move out of c's binade or onto m = 2**52, where the rounding
+    interval is not symmetric, is not found (ledger D13 in CHANGES.md).
+    """
+    pow5, pow10 = _parse_tables()[2:]
+    bits = (n.astype(float) / pow10.take(k)).view(np.int64)
+    s = 1076 - (bits >> 52) - k
+    p5 = pow5.take(k)
+    up, down = np.maximum(s, 0).astype(_U64), np.maximum(-s, 0).astype(_U64)
+    half = (p5 << down).view(np.int64)
+    twice_m = (bits & ((1 << 52) - 1) | (1 << 52)).view(_U64) << _U64(1)
+    r = ((n << up) - (p5 * twice_m << down)).view(np.int64)
+    big = n > _U64(1 << 53)
+    steps = (r + half) // (2 * half) * big  # leaves R in [-H, H)
+    steps -= (r - 2 * half * steps == -half) & ((bits + steps) & 1 == 1)  # ties to even
+    fraction = (bits & ((1 << 52) - 1)) + steps
+    return bits + steps, ~big | (fraction > 0) & (fraction < 1 << 52)
+
+
+def _parse_floats(chars: np.ndarray, ends: np.ndarray, lengths: np.ndarray):
+    """float() of each field chars[end - length:end] of the form
+    [-]digits[.digits], with at most 24 bytes, 19 significant digits and 22
+    digits after the point, all at once; and the mask of the fields it
+    settles. chars needs _WINDOW bytes before the first field.
+    """
+    n, k, negative, settled = _decimal_fields(chars, ends, lengths)
+    bits, found = _nearest_doubles(n, k)
+    values = (bits.view(_U64) | negative.astype(_U64) << _U64(63)).view(float)
+    return values, settled & found
+
+
+def _label_codes(chars: np.ndarray, starts: np.ndarray, ends: np.ndarray, index: dict):
+    """The index in `index` of each label chars[start:end], where a label seen
+    for the first time is added; the labels are keyed by their words."""
+    low = ~_parse_tables()[0][0]
+    words = _unaligned_words(chars)
+    lengths = ends - starts
+    keys = np.empty((len(starts), max(1, -(-int(lengths.max(initial=0)) // 8))), _U64)
+    for i in range(keys.shape[1]):
+        # a label shorter than 8i bytes is masked out; its index stays in range
+        word = words[np.minimum(starts + 8 * i, ends)]
+        keys[:, i] = word & low.take(lengths - 8 * i, mode="clip")
+    if keys.shape[1] > 1:  # numpy sorts integers faster than byte strings
+        keys = keys.view(f"V{keys.itemsize * keys.shape[1]}")
+    keys = keys.ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # first seen first
+    texts = [
+        chars[start:end].tobytes().decode("utf-8")
+        for start, end in zip(starts[first[order]].tolist(), ends[first[order]].tolist())
+    ]
+    found = np.empty(len(texts), np.intp)
+    found[order] = [index.setdefault(text, len(index)) for text in texts]
+    return found[inverse]
+
+
+def _plain_rows(text: str, width: int, labels: tuple[dict, dict]):
+    """The (M, width) values and (2, M) label codes of the lines `text`, for
+    a plain block; None for any other block, or where np.loadtxt refuses a
+    field that _parse_floats leaves to it.
+    """
+    if not text.endswith("\n"):
+        return None
+    block = text.encode("utf-8")
+    chars = np.zeros(_WINDOW + len(block) + 8, np.uint8)
+    chars[_WINDOW:-8] = np.frombuffer(block, np.uint8)
+    newlines = chars == ord("\n")
+    rows = np.count_nonzero(newlines)
+    separators = np.flatnonzero(newlines | (chars == ord(",")))
+    if len(separators) != rows * (width + 2):
+        return None
+    if np.count_nonzero(chars[_WINDOW:-8] < ord("$")) != rows:
+        return None
+    separators = separators.reshape(rows, width + 2)
+    if (chars[separators[:, -1]] != ord("\n")).any():
+        return None
+    ends = separators[:, 2:].ravel()
+    lengths = ends - 1 - separators[:, 1:-1].ravel()
+    values, settled = _parse_floats(chars, ends, lengths)
+    left = np.flatnonzero(~settled)
+    if len(left):
+        fields = [
+            chars[end - length : end].tobytes().decode("utf-8")
+            for end, length in zip(ends[left].tolist(), lengths[left].tolist())
+        ]
+        if "" in fields:  # loadtxt would skip the blank line
+            return None
+        try:
+            values[left] = _loadtxt([field + "\n" for field in fields], float)
+        except ValueError:
+            return None
+    line_starts = np.concatenate([[_WINDOW], separators[:-1, -1] + 1])
+    codes = np.stack([
+        _label_codes(chars, line_starts, separators[:, 0], labels[0]),
+        _label_codes(chars, separators[:, 0] + 1, separators[:, 1], labels[1]),
+    ])
+    return values.reshape(rows, width), codes
+
+
 def _load_rows(handle, number: int, width: int):
-    """Parse the data lines after file line `number` with np.loadtxt, one
-    block of about _READ_BLOCK_CHARS characters per call.
+    """Parse the data lines after file line `number`, one block of about
+    _READ_BLOCK_CHARS characters at a time: a plain block with _parse_floats,
+    any other with np.loadtxt.
 
     Returns the (M, width) values, the (2, M) unit and period index of each
     row, the unit and period labels in first-seen order and each row's file
@@ -415,7 +607,16 @@ def _load_rows(handle, number: int, width: int):
     values, codes = [np.empty((0, width))], [np.empty((2, 0), np.intp)]
     numbers = [np.empty(0, np.int64)]
     bad = None
-    while bad is None and (chunk := handle.readlines(_READ_BLOCK_CHARS)):
+    while bad is None and (text := handle.read(_READ_BLOCK_CHARS)):
+        text += handle.readline()
+        plain = _plain_rows(text, width, labels)
+        if plain is not None:
+            values.append(plain[0])
+            codes.append(plain[1])
+            numbers.append(np.arange(number + 1, number + 1 + len(plain[0])))
+            number += len(plain[0])
+            continue
+        chunk = StringIO(text).readlines()
         keep = [i for i, line in enumerate(chunk) if _is_data(line)]
         lines = [chunk[i] for i in keep]
         block_numbers = np.array(keep, dtype=np.int64) + (number + 1)
@@ -594,17 +795,20 @@ _TYPE_WORDS = {int: "an integer", float: "a number"}
 def _cast(value, cast, name: str):
     """`value` as an int or a float, or a DataError that names the field.
 
-    A bool is refused, and so is a float with a fraction where an int is due.
+    A string is converted as int() or float() converts it. Any other value
+    due as an int follows types.as_count, which refuses a bool and a float
+    with a fraction; a bool is refused as a float too.
     """
-    error = DataError(f"{name} must be {_TYPE_WORDS[cast]}, got {value!r}")
-    if isinstance(value, bool) or (
-        cast is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise error
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error from None
+        if isinstance(value, str):
+            return cast(value)
+        if cast is int:
+            return as_count(value, name)
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError, ValidationError):
+        pass
+    raise DataError(f"{name} must be {_TYPE_WORDS[cast]}, got {value!r}")
 
 
 def _model_params(params, default) -> ModelParams:

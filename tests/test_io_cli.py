@@ -34,6 +34,7 @@ from stfrontier.io import (
     write_scenario_json,
     write_te_csv,
 )
+from stfrontier.types import as_count
 
 
 def sha(path):
@@ -383,6 +384,16 @@ class TestReaderMatchesRowLoop:
             with pytest.raises(ValidationError, match=re.escape(repr(label))):
                 panel_text(tmp_path, unit_ids=units[:3] + (label,) + units[4:], period_ids=periods)
 
+    def test_long_labels(self, tmp_path, read_blocks):
+        # plain-block labels keyed by one, two and four words, sharing prefixes
+        units = ("abcdefgh", "abcdefghi", "abcdefghij" * 3, "a", "", "abcdefgh" * 2, "é" * 9)
+        periods = ("period-0000000001", "period-0000000002", "p", "period-00000000010", "x" * 8, "9")
+        text = panel_text(tmp_path, unit_ids=units, period_ids=periods)
+        target = tmp_path / "panel.csv"
+        target.write_text(shuffled(text))
+        result = assert_same_outcome(target)
+        assert set(result[4]) == set(units) and set(result[5]) == set(periods)
+
     def test_three_inputs(self, tmp_path, read_blocks):
         params = ModelParams(beta=(0.3, 0.2, 0.1))
         target = tmp_path / "panel.csv"
@@ -398,6 +409,53 @@ class TestReaderMatchesRowLoop:
         y = np.exp(panel.log_output)
         assert (np.log(y) != np.array([math.log(v) for v in y.ravel()]).reshape(y.shape)).any()
         assert_same_outcome(target)
+
+    @pytest.mark.parametrize("field", ["1e5", "nan", "+1", "1_000", "12345678901234567890", ""])
+    def test_one_odd_field_in_a_large_plain_block(self, tmp_path, read_blocks, field):
+        # the kernel leaves the field to np.loadtxt, or the block to the row parser
+        panel = simulate_panel(Scenario(n_units=100, n_periods=20, seed=3))[0]
+        target = tmp_path / "panel.csv"
+        write_panel_csv(panel, str(target))
+        lines = target.read_text().splitlines(keepends=True)
+        middle = len(lines) // 2
+        cells = lines[middle].split(",")
+        cells[4] = field  # x2
+        lines[middle] = ",".join(cells)
+        target.write_text("".join(lines))
+        if field == "1_000":  # float() takes it and np.loadtxt does not (TestReaderSyntax)
+            with pytest.raises(DataError, match=f"row {middle + 1}: malformed number: .*'1_000'"):
+                read_panel_csv(str(target))
+        else:
+            assert_same_outcome(target)
+
+    def test_writer_output_needs_no_loadtxt(self, tmp_path, read_blocks, monkeypatch):
+        # every value of this panel is in the kernel's domain, so only the
+        # kernel can read it
+        panel = simulate_panel(Scenario(n_units=300, n_periods=20, seed=3))[0]
+        target = tmp_path / "panel.csv"
+        write_panel_csv(panel, str(target))
+        expected = outcome(oracle_read_panel_csv, target)
+
+        def refuse(lines, dtype):
+            raise AssertionError("np.loadtxt was called")
+
+        monkeypatch.setattr(stio, "_loadtxt", refuse)
+        for a, b in zip(outcome(read_panel_csv, target), expected):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    def test_reader_memory_peak(self, tmp_path):
+        # 29.0 MiB when np.loadtxt parsed every block of this panel
+        panel = simulate_panel(Scenario(n_units=2000, n_periods=60, seed=4))[0]
+        target = str(tmp_path / "panel.csv")
+        write_panel_csv(panel, target)
+        read_panel_csv(target)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            read_panel_csv(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29 * 2**20
 
     def test_te_csv(self, tmp_path, read_blocks):
         te = np.random.default_rng(2).uniform(0.2, 1.0, size=(5, 4))
@@ -584,8 +642,9 @@ class TestWriter:
         )
 
     def test_memory_peak_below_the_readers(self, tmp_path):
-        # read_panel_csv peaks at 29.0 MiB on this panel, so the writer stays
-        # below the peak that estimating from the same CSV reaches anyway
+        # read_panel_csv peaked at 29.0 MiB on this panel when np.loadtxt
+        # parsed every block, so the writer stays below the peak that
+        # estimating from the same CSV reached anyway
         panel = simulate_panel(Scenario(n_units=2000, n_periods=60, seed=4))[0]
         target = str(tmp_path / "panel.csv")
         write_panel_csv(panel, target)  # warm caches outside the measurement
@@ -653,6 +712,21 @@ class TestScenarioJson:
         target.write_text(json.dumps({"n_units": 5, "n_periods": 6, "bogus": 1}))
         with pytest.raises(DataError, match="bogus"):
             read_scenario_json(str(target))
+
+
+@pytest.mark.parametrize(
+    "value", [20, 20.0, -3, 0.0, 20.5, 1e300, True, False, math.inf, math.nan, None, [1], {}]
+)
+def test_json_integers_follow_as_count(value):
+    # one rule for integer fields: what as_count refuses, a JSON integer field refuses
+    try:
+        expected = as_count(value, "n_units")
+    except ValidationError:
+        message = f"n_units must be an integer, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            stio._cast(value, int, "n_units")
+    else:
+        assert stio._cast(value, int, "n_units") == expected
 
 
 class TestCli:
