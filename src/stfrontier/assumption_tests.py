@@ -28,13 +28,13 @@ of the original estimates.
 
 test_constant_spatial: is the spatial effect on technical efficiency equal
 across time points? Per period, TE is mapped back to the linear scale and
-regressed on the spatial measures and, when given, the covariates (no
-intercept); k case resamples of the joint design give bootstrap draws of the
-first spatial coefficient. The deviations are left unstudentised, because
-case-bootstrap standard deviations at small N are too noisy to divide by. The
-null is rejected when strictly more than alpha*100% of the period intervals
-exclude the cross-period mean, so c comes from the (floor(alpha*T)+1)-th
-largest deviation.
+regressed, with no intercept, on the model's predictor: the spatial measures
+w and the covariates z. k case resamples of that (w, z) design give
+bootstrap draws of the first spatial coefficient. The deviations are left
+unstudentised, because case-bootstrap standard deviations at small N are too
+noisy to divide by. The null is rejected when strictly more than alpha*100%
+of the period intervals exclude the cross-period mean, so c comes from the
+(floor(alpha*T)+1)-th largest deviation.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import BootstrapError, EstimationError, ValidationError
 from .estimation import fit_frontier_gls, least_squares
 from .frontier import te_to_logit
 from .rng import check_seed, substream
-from .types import PanelDataset
+from .types import PanelDataset, as_count
 
 #: Values drawn and discarded before a sieve series is emitted.
 SIEVE_BURN_IN = 50
@@ -80,12 +80,11 @@ class TestConfig:
     __test__ = False  # not a pytest class
 
     def __post_init__(self):
-        if int(self.ar_order_p) < 1:
-            raise ValidationError(f"ar_order_p must be >= 1, got {self.ar_order_p}")
-        object.__setattr__(self, "ar_order_p", int(self.ar_order_p))
-        if int(self.n_boot_k) < 100:
-            raise ValidationError(f"n_boot_k must be >= 100, got {self.n_boot_k}")
-        object.__setattr__(self, "n_boot_k", int(self.n_boot_k))
+        for name, least in (("ar_order_p", 1), ("n_boot_k", 100)):
+            value = as_count(getattr(self, name), name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         alpha = float(self.alpha)
         if not 0.0 < alpha < 0.5:
             raise ValidationError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -481,27 +480,18 @@ def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestRepor
     )
 
 
-def _slice_design(w_slice, z_slice=None) -> np.ndarray:
-    w = np.asarray(w_slice, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if z_slice is None:
-        return w
-    z = np.asarray(z_slice, dtype=float)
-    return np.concatenate([w, z[:, None] if z.ndim == 1 else z], axis=1)
-
-
-def fit_spatial_slice(te_row, w_slice, z_slice=None) -> np.ndarray:
+def fit_spatial_slice(te_row, w_slice, z_slice) -> np.ndarray:
     """Coefficients for one time point: least squares of the linearized TE on
-    the spatial measures and, when given, the covariates, no intercept.
+    the spatial measures w (N, Q) and the covariates z (N, R), no intercept.
 
-    The spatial coefficients come first, then the covariate ones. Leaving z
-    out when it correlates with w moves z*phi into the spatial slope. The fit
-    is one estimation.least_squares call; a singular design raises
-    EstimationError naming the collinear w* and z* columns.
+    The spatial coefficients come first, then the covariate ones. The design
+    is the model's predictor, w*gamma + z*phi: leaving z out when it
+    correlates with w would move z*phi into the spatial slope. The fit is one
+    estimation.least_squares call; a singular design raises EstimationError
+    naming the collinear w* and z* columns.
     """
     te = np.asarray(te_row, dtype=float).ravel()
-    design = _slice_design(w_slice, z_slice)
+    design = np.column_stack([w_slice, z_slice])
     if design.shape[0] != te.shape[0]:
         raise ValidationError(
             f"w_slice has {design.shape[0]} rows for {te.shape[0]} TE values"
@@ -557,18 +547,17 @@ def _case_resample_slopes(
     )
 
 
-def test_constant_spatial(te, spatial, config: TestConfig, covariates=None) -> TestReport:
+def test_constant_spatial(te, spatial, config: TestConfig, covariates) -> TestReport:
     """Case-resampling bootstrap test of a common spatial effect over time.
 
-    Each period regresses the linearized TE on (w, z), or on w alone when no
-    covariates are given, and case-resamples that joint design. The period
-    intervals are simultaneous, unstudentised: c is calibrated on the
-    (floor(alpha*T)+1)-th largest recentred deviation. Rejects when strictly
-    more than alpha*100% of the per-period intervals exclude the cross-period
-    mean of the original estimates.
+    Each period regresses the linearized TE on its slice of the (N, T, Q+R)
+    design (w, z) and case-resamples that slice. The period intervals are
+    simultaneous, unstudentised: c is calibrated on the (floor(alpha*T)+1)-th
+    largest recentred deviation. Rejects when strictly more than alpha*100%
+    of the per-period intervals exclude the cross-period mean of the original
+    estimates.
     """
     te = np.asarray(te, dtype=float)
-    spatial = np.asarray(spatial, dtype=float)
     if te.ndim != 2:
         raise ValidationError(f"te must be an N x T matrix, got shape {te.shape}")
     n, t = te.shape
@@ -576,31 +565,24 @@ def test_constant_spatial(te, spatial, config: TestConfig, covariates=None) -> T
         raise ValidationError("at least two time points required")
     if n < 2:
         raise ValidationError("at least two spatial units required")
-    if spatial.shape[:2] != (n, t):
-        raise ValidationError(
-            f"spatial must have shape (N={n}, T={t}, Q), got {spatial.shape}"
-        )
-    if covariates is not None:
-        covariates = np.asarray(covariates, dtype=float)
-        if covariates.ndim != 3 or covariates.shape[:2] != (n, t):
+    for name, values in (("spatial", spatial), ("covariates", covariates)):
+        if np.ndim(values) != 3 or np.shape(values)[:2] != (n, t):
             raise ValidationError(
-                f"covariates must have shape (N={n}, T={t}, R), got {covariates.shape}"
+                f"{name} must have shape (N={n}, T={t}, *), got {np.shape(values)}"
             )
+    q = np.shape(spatial)[2]
+    design = np.concatenate([spatial, covariates], axis=2, dtype=float)
 
     estimates = np.empty(t)
     draws = np.empty((t, config.n_boot_k))
     for s in range(t):
-        w_slice = spatial[:, s, :]
-        z_slice = None if covariates is None else covariates[:, s, :]
         try:
-            coef = fit_spatial_slice(te[:, s], w_slice, z_slice)
+            coef = fit_spatial_slice(te[:, s], design[:, s, :q], design[:, s, q:])
         except (ValidationError, EstimationError) as err:
             raise BootstrapError(f"spatial fit failed for period {s}: {err}") from err
         estimates[s] = coef[0]
         rng = substream(config.seed, "spatial-case", s)
-        draws[s] = _case_resample_slopes(
-            te_to_logit(te[:, s]), _slice_design(w_slice, z_slice), config.n_boot_k, rng
-        )
+        draws[s] = _case_resample_slopes(te_to_logit(te[:, s]), design[:, s], config.n_boot_k, rng)
 
     centred = draws - estimates[:, None]
     reference, intervals, n_failing = _simultaneous_intervals(

@@ -163,9 +163,7 @@ def _cmd_test(kind: str, args, argv) -> int:
             te = _te_for_panel(args.te, panel)
         else:
             te = estimate_model(panel).te
-        report = test_constant_spatial(
-            te, panel.spatial, config, covariates=panel.covariates
-        )
+        report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
     io.write_json(io.test_report_dict(report, _meta(" ".join(argv), seed)), args.out)
     verdict = "reject" if report.reject else "fail-to-reject"
     print(

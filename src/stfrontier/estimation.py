@@ -39,6 +39,11 @@ _CLAMPED_LOGITS = tuple(logit([CLAMP_DELTA, 1.0 - CLAMP_DELTA]))
 #: Residual variance below which the AR coefficient is pinned to zero.
 _DEGENERATE_VAR = 1e-12
 
+#: The GLS iteration stops once the largest change in (beta, rho) drops below
+#: _GLS_TOL, or after _GLS_MAX_ITER rounds.
+_GLS_TOL = 1e-8
+_GLS_MAX_ITER = 50
+
 #: Share of clamped cells above which the estimation result is flagged.
 CLAMP_FLAG_FRACTION = 0.2
 
@@ -114,18 +119,12 @@ def _quasi_difference(arr: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def fit_frontier_gls(
-    panel: PanelDataset,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-    rho_fixed: float | None = None,
-) -> FrontierFit:
+def fit_frontier_gls(panel: PanelDataset, *, rho_fixed: float | None = None) -> FrontierFit:
     """Estimate (beta, rho) jointly by iterated feasible GLS.
 
     Alternates pooled least squares on quasi-differenced data with a pooled
     lag regression of the residuals on themselves (no intercept) until the
-    largest coefficient change drops below ``tol``. ``rho_fixed`` skips the
+    largest coefficient change drops below _GLS_TOL. ``rho_fixed`` skips the
     rho update (rho_fixed=0 reproduces pooled OLS exactly).
     """
     n, t = panel.n_units, panel.n_periods
@@ -140,7 +139,7 @@ def fit_frontier_gls(
     rho = 0.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _GLS_MAX_ITER + 1):
         resid = y - design @ coef  # (N, T), raw-scale residuals
         if rho_fixed is not None:
             rho_new = float(rho_fixed)
@@ -159,7 +158,7 @@ def fit_frontier_gls(
         coef_new, *_ = np.linalg.lstsq(x_star.reshape(n * t, -1), y_star.ravel(), rcond=None)
         delta = max(np.abs(coef_new - coef).max(), abs(rho_new - rho))
         coef, rho = coef_new, rho_new
-        if delta < tol:
+        if delta < _GLS_TOL:
             converged = True
             break
 

@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .assumption_tests import (
-    SERIES_SOURCES,
     TestConfig,
     check_ar_length,
     test_constant_spatial,
@@ -111,8 +110,9 @@ def run_power_cell(
 
     The spatial test consumes the simulated ground-truth TE by default
     (te_source="true"); "estimated" feeds the model-predicted TE instead.
-    Errors inside a replication are collected; the cell is abandoned only
-    when more than 1% of replications fail. The rejection rate counts the
+    The test settings are checked once, before any replication. Errors
+    inside a replication are collected; the cell is abandoned only when more
+    than 1% of replications fail. The rejection rate counts the
     completed replications only.
     """
     if test_kind not in TEST_KINDS:
@@ -123,6 +123,9 @@ def run_power_cell(
         raise ValidationError(f"n_reps must be >= 1, got {n_reps}")
     master_seed = check_seed(master_seed, "master_seed")
     key = cell_key(scenario, test_kind)
+    settings = TestConfig(
+        ar_order_p=ar_order_p, n_boot_k=boot_k, alpha=alpha, series_source=series_source
+    )
 
     rejections = 0
     failures: list[str] = []
@@ -130,13 +133,7 @@ def run_power_cell(
         rep_seed = derive_seed(master_seed, "power", key, rep)
         try:
             panel, _, true_u, _ = simulate_panel(replace(scenario, seed=rep_seed))
-            config = TestConfig(
-                ar_order_p=ar_order_p,
-                n_boot_k=boot_k,
-                alpha=alpha,
-                series_source=series_source,
-                seed=derive_seed(rep_seed, "bootstrap"),
-            )
+            config = replace(settings, seed=derive_seed(rep_seed, "bootstrap"))
             if test_kind == "temporal":
                 report = test_constant_temporal(panel, config)
             else:
@@ -144,9 +141,7 @@ def run_power_cell(
                     te = technical_efficiency(true_u)
                 else:
                     te = estimate_model(panel).te
-                report = test_constant_spatial(
-                    te, panel.spatial, config, covariates=panel.covariates
-                )
+                report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
             rejections += int(report.reject)
         except StfrontierError as err:
             failures.append(f"replication {rep}: {err}")
@@ -194,10 +189,13 @@ class GridSpec:
         for dom in self.dominances:
             if dom not in DOMINANCE_SHARES:
                 raise ValidationError(f"unknown dominance {dom!r}")
-        if self.series_source not in SERIES_SOURCES:
-            raise ValidationError(
-                f"series_source must be one of {SERIES_SOURCES}, got {self.series_source!r}"
-            )
+        # the one check of the test settings; the seed is per replication
+        settings = TestConfig(
+            ar_order_p=self.ar_order_p,
+            n_boot_k=self.boot_k,
+            alpha=self.alpha,
+            series_source=self.series_source,
+        )
         if self.te_source not in TE_SOURCES:
             raise ValidationError(
                 f"te_source must be one of {TE_SOURCES}, got {self.te_source!r}"
@@ -211,7 +209,7 @@ class GridSpec:
             raise ValidationError("grid must span at least one (n, T, dominance) cell")
         if "temporal" in self.test_kinds:
             # otherwise every replication of the shortest cells would error
-            check_ar_length(int(self.ar_order_p), min(self.t_values))
+            check_ar_length(settings.ar_order_p, min(self.t_values))
 
     def cells(self):
         """Yield (scenario, test_kind) pairs covering the grid exactly once."""

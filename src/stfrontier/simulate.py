@@ -34,9 +34,10 @@ from .types import DOMINANCE_SHARES, ModelParams, PanelDataset, Scenario
 _MAX_REJECTION_ROUNDS = 1000
 
 #: Variance share of the covariate carried by the period-level regime shock.
-#: The spatial homogeneity test regresses on (w, z) per period and holds its
-#: size without this share (see the decisions ledger in CHANGES.md); the value
-#: stays because changing it reshuffles every simulated panel.
+#: The spatial homogeneity test fits only the model's (w, z) design per period,
+#: and that design holds its size without this share (ledger D6 and D9 in
+#: CHANGES.md). The value stays because it is part of the data-generating
+#: process: changing it changes every simulated panel.
 COVARIATE_COMMON_SHARE = 0.7
 
 #: Rows of the pairwise distance matrix held at a time by mean_distance_profile.

@@ -227,7 +227,8 @@ def test_criterion_9_degenerate_inputs(tmp_path):
 
     with pytest.raises(ValidationError, match="at least two time points"):
         ht.test_constant_spatial(
-            np.full((6, 1), 0.8), rng.normal(size=(6, 1, 1)), ht.TestConfig(seed=1)
+            np.full((6, 1), 0.8), rng.normal(size=(6, 1, 1)), ht.TestConfig(seed=1),
+            np.ones((6, 1, 1)),
         )
     checks.append("T=1 spatial test")
 
@@ -249,7 +250,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks.append("rank-deficient frontier design")
 
     with pytest.raises(EstimationError, match="rank deficient"):
-        fit_spatial_slice(np.full(8, 0.8), np.zeros((8, 1)))
+        fit_spatial_slice(np.full(8, 0.8), np.zeros((8, 1)), np.ones((8, 1)))
     checks.append("rank-deficient spatial slice")
 
     with pytest.raises(EstimationError, match="near-singular lag matrix"):

@@ -42,11 +42,19 @@ class TestConfigValidation:
             dict(n_boot_k=100, alpha=0.01),  # alpha*k = 1 < 5
             dict(series_source="levels"),
             dict(ar_order_p=0),
+            dict(ar_order_p=1.5),  # int() truncated these to (1, 150) and True to 1
+            dict(n_boot_k=150.7),
+            dict(ar_order_p=True),
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
             TestConfig(**kwargs)
+
+    def test_integral_floats_become_ints(self):
+        cfg = TestConfig(ar_order_p=2.0, n_boot_k=np.int64(150))
+        assert (cfg.ar_order_p, cfg.n_boot_k) == (2, 150)
+        assert type(cfg.ar_order_p) is int and type(cfg.n_boot_k) is int
 
 
 class TestReportContract:
@@ -151,12 +159,14 @@ class TestSpatialSlice:
     def test_noiseless_inversion(self):
         rng = np.random.default_rng(4)
         w = rng.normal(size=(30, 1))
+        z = rng.normal(size=(30, 1))
         te = np.exp(-expit(w[:, 0] * 0.8))
-        coef = fit_spatial_slice(te, w)
+        coef = fit_spatial_slice(te, w, z)
         assert coef[0] == pytest.approx(0.8, abs=1e-8)
+        assert coef[1] == pytest.approx(0.0, abs=1e-8)
 
     def test_covariate_in_design_recovers_gamma(self):
-        # z correlates with w, so a w-only fit moves z*phi into the slope
+        # z correlates with w; the joint design still separates the two slopes
         rng = np.random.default_rng(8)
         w = rng.normal(size=(40, 1))
         z = 0.6 * w + 0.8 * rng.normal(size=(40, 1))
@@ -164,24 +174,25 @@ class TestSpatialSlice:
         coef = fit_spatial_slice(te, w, z)
         assert coef[0] == pytest.approx(0.8, abs=1e-8)
         assert coef[1] == pytest.approx(0.5, abs=1e-8)
-        assert abs(fit_spatial_slice(te, w)[0] - 0.8) > 0.1
 
     def test_constant_te_with_centered_profile_gives_zero(self):
         w = np.linspace(-1.5, 1.5, 20)[:, None]  # centered profile
+        z = w**2 - np.mean(w**2)  # centred and orthogonal to w
         te = np.full(20, np.exp(-0.5))
-        assert fit_spatial_slice(te, w)[0] == pytest.approx(0.0, abs=1e-10)
+        assert fit_spatial_slice(te, w, z)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_out_of_range_te_names_unit(self):
         w = np.linspace(-1, 1, 10)[:, None]
         te = np.full(10, 0.8)
         te[7] = 0.2  # below exp(-1)
         with pytest.raises(ValidationError, match="unit index 7"):
-            fit_spatial_slice(te, w)
+            fit_spatial_slice(te, w, w**2)
 
     def test_zero_profile_rank_deficient(self):
         te = np.full(10, 0.8)
+        z = np.linspace(-1, 1, 10)[:, None]
         with pytest.raises(Exception, match="rank deficient"):
-            fit_spatial_slice(te, np.zeros((10, 1)))
+            fit_spatial_slice(te, np.zeros((10, 1)), z)
 
     def test_full_rank_ill_conditioned_design_raises(self):
         # z is w up to a 3e-13 perturbation: the rank test alone passes it
@@ -199,7 +210,8 @@ class TestSpatialSlice:
 class TestSpatial:
     @staticmethod
     def staged_te(gamma_by_period, noise_sd, n, seed):
-        """TE per (i,t) from a mean-zero profile with per-period slopes."""
+        """TE per (i,t) from a mean-zero profile with per-period slopes, and a
+        covariate drawn independently of it that TE does not depend on."""
         rng = np.random.default_rng(seed)
         w = np.linspace(-1.6, 1.6, n)
         w = (w - w.mean()) / w.std()
@@ -207,7 +219,8 @@ class TestSpatial:
         eta = rng.normal(0, noise_sd, size=(n, t))
         u = expit(w[:, None] * np.asarray(gamma_by_period)[None, :] + eta)
         spatial = np.repeat(w[:, None, None], t, axis=1)
-        return np.exp(-u), spatial
+        covariates = rng.normal(size=(n, t, 1))
+        return np.exp(-u), spatial, covariates
 
     def test_case_resample_matches_gathered_least_squares(self):
         # reference: gather each resample's rows and solve it on its own
@@ -219,35 +232,35 @@ class TestSpatial:
         np.testing.assert_allclose(slopes, ref, rtol=0, atol=1e-12)
 
     def test_single_time_point_rejected(self):
-        te, spatial = self.staged_te([0.8], 0.1, 10, seed=1)
+        te, spatial, z = self.staged_te([0.8], 0.1, 10, seed=1)
         with pytest.raises(ValidationError, match="at least two time points"):
-            run_spatial_test(te, spatial, TestConfig(n_boot_k=120, seed=1))
+            run_spatial_test(te, spatial, TestConfig(n_boot_k=120, seed=1), z)
+
+    @pytest.mark.parametrize("name", ["spatial", "covariates"])
+    def test_two_dimensional_design_input_named(self, name):
+        # a 2-d spatial array used to fail with a bare IndexError
+        te, spatial, z = self.staged_te([0.8] * 4, 0.1, 10, seed=1)
+        inputs = dict(spatial=spatial, covariates=z)
+        inputs[name] = inputs[name][:, :, 0]
+        message = rf"{name} must have shape \(N=10, T=4, \*\), got \(10, 4\)"
+        with pytest.raises(ValidationError, match=message):
+            run_spatial_test(te, config=TestConfig(n_boot_k=120, seed=1), **inputs)
 
     def test_null_is_usually_retained(self):
-        te, spatial = self.staged_te([0.8] * 12, 1.0, 40, seed=6)
-        report = run_spatial_test(te, spatial, TestConfig(n_boot_k=200, seed=7))
+        te, spatial, z = self.staged_te([0.8] * 12, 1.0, 40, seed=6)
+        report = run_spatial_test(te, spatial, TestConfig(n_boot_k=200, seed=7), z)
         assert report.n_failing <= 1
 
     def test_decision_rule_threshold_scales_with_alpha(self):
-        # one contaminated period out of twelve: the excluding count sits
-        # above alpha*T = 0.6 at alpha=0.05 (reject) but below alpha*T = 2.4
-        # at alpha=0.2 (retain), from identical data
-        scenario = power_scenario(
-            n_units=50,
-            contamination_fraction=0.05,
-            spatial_shift_g=1.0,
-            seed=15,
-        )
-        panel, _, u, _ = simulate_panel(scenario)
-        te = np.exp(-u)
-        strict = run_spatial_test(
-            te, panel.spatial, TestConfig(n_boot_k=500, seed=101, alpha=0.05)
-        )
-        loose = run_spatial_test(
-            te, panel.spatial, TestConfig(n_boot_k=500, seed=101, alpha=0.2)
-        )
-        assert strict.n_failing >= 1 and strict.reject
-        assert loose.n_failing <= 2 and not loose.reject
+        # noiseless TE makes every fit exact: the periods at 0.8 sit on the
+        # cross-period mean 0.8 and exactly the two shifted ones exclude it,
+        # above alpha*T = 0.6 at alpha=0.05 (reject) but not above
+        # alpha*T = 2.4 at alpha=0.2 (retain), from identical data
+        te, spatial, z = self.staged_te([0.8] * 10 + [1.3, 0.3], 0.0, 40, seed=15)
+        strict = run_spatial_test(te, spatial, TestConfig(n_boot_k=500, seed=101, alpha=0.05), z)
+        loose = run_spatial_test(te, spatial, TestConfig(n_boot_k=500, seed=101, alpha=0.2), z)
+        assert strict.n_failing == loose.n_failing == 2
+        assert strict.reject and not loose.reject
 
     def test_contaminated_periods_drive_rejection(self):
         scenario = power_scenario(
@@ -255,13 +268,13 @@ class TestSpatial:
         )
         panel, _, u, _ = simulate_panel(scenario)
         report = run_spatial_test(
-            np.exp(-u), panel.spatial, TestConfig(n_boot_k=200, seed=10)
+            np.exp(-u), panel.spatial, TestConfig(n_boot_k=200, seed=10), panel.covariates
         )
         assert report.reject
 
     def test_deterministic_given_seed(self):
-        te, spatial = self.staged_te([0.8] * 6, 0.8, 25, seed=12)
+        te, spatial, z = self.staged_te([0.8] * 6, 0.8, 25, seed=12)
         cfg = TestConfig(n_boot_k=150, seed=13)
-        a = run_spatial_test(te, spatial, cfg)
-        b = run_spatial_test(te, spatial, cfg)
+        a = run_spatial_test(te, spatial, cfg, z)
+        b = run_spatial_test(te, spatial, cfg, z)
         assert a.per_block_interval == b.per_block_interval

@@ -986,6 +986,10 @@ class TestCli:
                 "series_source must be one of ('frontier_residuals', 'log_output'), got 'bogus'",
             ),
             ({"te_source": 3}, "te_source must be one of ('true', 'estimated'), got 3"),
+            # these three used to simulate every replication and then exit 2
+            ({"boot_k": 50}, "n_boot_k must be >= 100, got 50"),
+            ({"alpha": 0.7}, "alpha must lie in (0, 0.5), got 0.7"),
+            ({"ar_order_p": 0}, "ar_order_p must be >= 1, got 0"),
         ],
     )
     def test_bad_grid_field_named(self, tmp_path, capsys, fields, message):

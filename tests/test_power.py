@@ -78,7 +78,7 @@ class TestRunPowerCell:
     def test_rate_counts_completed_replications_only(self, monkeypatch):
         calls = []
 
-        def flaky_test(te, spatial, config, covariates=None):
+        def flaky_test(te, spatial, config, covariates):
             calls.append(None)
             if len(calls) == 37:
                 raise BootstrapError("planted failure")
@@ -300,7 +300,7 @@ class TestProcessPool:
         key = keys[1]
         planted = derive_seed(derive_seed(21, "power", key, 37), "bootstrap")
 
-        def flaky_test(te, spatial, config, covariates=None):
+        def flaky_test(te, spatial, config, covariates):
             if config.seed == planted:
                 raise BootstrapError("planted failure")
             return SimpleNamespace(reject=config.seed % 3 == 0)
