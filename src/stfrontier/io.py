@@ -21,8 +21,20 @@ value: _format_floats finds the shortest digits that read back with exact
 integer arithmetic on whole arrays, in the manner of Ryu (Adams 2018, PLDI),
 and lays them out in fixed byte slots under a mask. Each block of rows is
 one byte matrix (labels, slots, commas, newlines) and one mask; the bytes
-the mask keeps are the block's text. Values outside the kernel's domain go
-to repr() one by one.
+the mask keeps are the block's bytes, written below the text layer. Values
+outside the kernel's domain go to repr() one by one.
+
+A long CSV of _SPLIT_MIN_BLOCKS blocks or more is written or read in two
+halves when a second CPU is usable and no other thread runs: one forked
+child runs the same code on the second half while this process runs the
+first. The writer's child writes its blocks to an unnamed temporary file
+beside the target, and this process copies them in after its own, so it
+never holds the child's text. The reader splits the file after the first
+newline past its middle byte; the child parses the rows after the split
+and sends them back pickled through a pipe, and this process joins them to
+its own exactly as one pass would have returned them. So each process holds
+the blocks of its own half, and this process receives the child's rows,
+which one pass would have held too.
 """
 
 from __future__ import annotations
@@ -32,12 +44,17 @@ import functools
 import json
 import math
 import os
+import pickle
 import re
+import shutil
+import signal
 import stat
+import sys
 import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict
-from io import StringIO
+from io import BufferedReader, RawIOBase, StringIO, TextIOWrapper
 
 import numpy as np
 
@@ -94,6 +111,75 @@ def _atomic_write(path: str, text: str) -> None:
 # write or a parse holds beyond its input or its result.
 _WRITE_BLOCK_ROWS = 4096
 _READ_BLOCK_CHARS = 1 << 19
+
+# A long CSV of at least this many blocks is written or read in two halves,
+# the second by a forked child. The fork and the copy-on-write faults it
+# brings cost about 10 ms, which a panel CSV wins back from 4-5 blocks on
+# (ledger D15).
+_SPLIT_MIN_BLOCKS = 6
+
+
+def _split_pays(blocks: int) -> bool:
+    """Whether a long CSV of `blocks` blocks is worth splitting with a child:
+    a second CPU is usable, and no other thread runs, since a forked child
+    would inherit that thread's locks but not the thread."""
+    return (
+        blocks >= _SPLIT_MIN_BLOCKS
+        and hasattr(os, "sched_getaffinity")  # elsewhere one process does it all
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+@contextmanager
+def _forked(work):
+    """Run work() in a forked child while the with-block runs here.
+
+    Yields a function that waits for the child and returns what work()
+    returned, or raises what it raised; either comes back pickled through a
+    pipe. The child leaves only through os._exit, so it runs none of the
+    caller's cleanup and flushes no inherited buffer. The child is killed
+    if the block leaves before taking its result, and always reaped.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    outcome = True, work()
+                except BaseException as err:
+                    outcome = False, err
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    taken = False
+
+    def join():
+        nonlocal taken
+        try:
+            ok, result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError) as err:
+            raise ChildProcessError(f"forked child {pid} ended without a result") from err
+        taken = True
+        if not ok:
+            raise result
+        return result
+
+    try:
+        with open(read_end, "rb") as pipe:
+            yield join
+    finally:
+        if not taken:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 class _Echo:
@@ -294,6 +380,8 @@ def _write_long_csv(
 
     A block's rows are laid out as one byte matrix (labels, value slots,
     commas, newlines) with one mask over it; the kept bytes are its text.
+    When _split_pays, a forked child writes the second half of the blocks to
+    a temporary file, which is copied in after the first half.
     """
     n, t = len(unit_ids), len(period_ids)
     values = []
@@ -309,10 +397,10 @@ def _write_long_csv(
     label_width = unit_width + periods[0].shape[1]
     width = label_width + len(values) * _SLOT + 1  # each slot's spare byte 0 takes a comma
     block_units = max(1, _WRITE_BLOCK_ROWS // max(t, 1))
-    with _atomic_open(path) as handle:
-        handle.writelines(line + "\n" for line in _meta_lines(meta))
-        csv.writer(handle, lineterminator="\n").writerow(["unit", "period", *columns])
-        for start in range(0, n, block_units):
+    starts = range(0, n, block_units)
+
+    def write_blocks(sink, block_starts):
+        for start in block_starts:
             stop = min(start + block_units, n)
             block = np.stack([column[start:stop] for column in values], axis=-1)
             rows = np.empty((stop - start, t, width), np.uint8)
@@ -326,7 +414,24 @@ def _write_long_csv(
             rows[..., label_width:-1:_SLOT] = ord(",")
             rows[..., -1] = ord("\n")
             keep[..., label_width::_SLOT] = True
-            handle.write(rows[keep].tobytes().decode("utf-8", "surrogatepass"))
+            sink.write(rows[keep])
+        sink.flush()  # a forked child leaves through os._exit, which flushes nothing
+
+    with _atomic_open(path) as handle:
+        handle.writelines(line + "\n" for line in _meta_lines(meta))
+        csv.writer(handle, lineterminator="\n").writerow(["unit", "period", *columns])
+        handle.flush()  # the blocks go to the bytes below the text layer
+        if not _split_pays(len(starts)):
+            write_blocks(handle.buffer, starts)
+            return
+        half = len(starts) // 2
+        directory = os.path.dirname(os.path.abspath(path))
+        with tempfile.TemporaryFile(dir=directory) as rest:
+            with _forked(lambda: write_blocks(rest, starts[half:])) as join:
+                write_blocks(handle.buffer, starts[:half])
+                join()
+            rest.seek(0)
+            shutil.copyfileobj(rest, handle.buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +703,9 @@ def _load_rows(handle, number: int, width: int):
     any other with np.loadtxt.
 
     Returns the (M, width) values, the (2, M) unit and period index of each
-    row, the unit and period labels in first-seen order and each row's file
-    line number. The last item is the first (number, line) that loadtxt
-    rejects, or None; parsing stops before it.
+    row, the unit and period labels in first-seen order, each row's file
+    line number, the first (number, line) that loadtxt rejects, or None,
+    and the number of the last line read. Parsing stops at a rejected line.
     """
     dtype = [("unit", object), ("period", object), ("values", float, (width,))]
     labels: tuple[dict, dict] = ({}, {})  # label -> index, in first-seen order
@@ -646,7 +751,103 @@ def _load_rows(handle, number: int, width: int):
         periods,
         np.concatenate(numbers),
         bad,
+        number,
     )
+
+
+def _joined(head, tail):
+    """One _load_rows result from the results of two consecutive parts of a
+    file, the second numbered from its own start: the tail's labels join the
+    head's in first-seen order, and its codes and line numbers follow."""
+    values, codes, units, periods, numbers, _, lines = head
+    tail_values, tail_codes, tail_units, tail_periods, tail_numbers, bad, tail_lines = tail
+    labels, remapped = [], np.empty_like(tail_codes)
+    for own, theirs, out, row in zip(
+        (units, periods), (tail_units, tail_periods), remapped, tail_codes
+    ):
+        index = dict(zip(own, range(len(own))))
+        found = [index.setdefault(label, len(index)) for label in theirs]
+        out[:] = np.array(found, np.intp)[row]
+        labels.append(tuple(index))
+    return (
+        np.concatenate([values, tail_values]),
+        np.hstack([codes, remapped]),
+        *labels,
+        np.concatenate([numbers, tail_numbers + lines]),
+        None if bad is None else (lines + bad[0], bad[1]),
+        lines + tail_lines,
+    )
+
+
+class _ByteRange(RawIOBase):
+    """The bytes start..stop of a file, as a raw stream; stop None is the end."""
+
+    def __init__(self, path: str, start: int, stop: int | None):
+        super().__init__()
+        self._file = open(path, "rb", buffering=0)
+        if start:  # a pipe cannot seek, even to 0
+            self._file.seek(start)
+        self._left = sys.maxsize if stop is None else stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        got = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= got
+        return got
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _open_range(path: str, start: int, stop: int | None, encoding: str) -> TextIOWrapper:
+    """A text handle, with universal newlines, on the bytes start..stop."""
+    return TextIOWrapper(BufferedReader(_ByteRange(path, start, stop)), encoding=encoding)
+
+
+def _middle_line_start(path: str, size: int) -> int | None:
+    """The offset just after the first newline at or past the middle byte,
+    or None when no line starts there. A CR-only line end is not searched
+    for, so that a CR LF pair never straddles the offset."""
+    with open(path, "rb") as handle:
+        handle.seek(size // 2)
+        while chunk := handle.read(1 << 16):
+            at = chunk.find(b"\n")
+            if at >= 0:
+                start = handle.tell() - len(chunk) + at + 1
+                return start if start < size else None
+    return None
+
+
+def _load_file(path: str, read_header, split: int | None):
+    """The header's value count and the _load_rows result of the whole file.
+
+    With a split offset, this process parses the rows before it and a forked
+    child those after it, unless the header lies past it.
+    """
+    with _open_range(path, 0, split, "utf-8-sig") as handle:
+        for number, line in enumerate(handle, start=1):
+            if _is_data(line):
+                break
+        else:
+            if split is not None:  # only comments and blanks before the split
+                return _load_file(path, read_header, None)
+            raise DataError(f"{path}: no header row found")
+        width = read_header(next(csv.reader([line])))
+        if split is None:
+            return width, _load_rows(handle, number, width)
+
+        def load_tail():
+            with _open_range(path, split, None, "utf-8") as tail:
+                return _load_rows(tail, 0, width)
+
+        with _forked(load_tail) as join:
+            head = _load_rows(handle, number, width)
+            if head[5] is not None:  # a single pass would stop at this line
+                return width, head
+            return width, _joined(head, join())
 
 
 def _malformed(line: str, width: int) -> str:
@@ -662,6 +863,10 @@ def _malformed(line: str, width: int) -> str:
     return f"malformed number: could not convert string to float: {field!r}"
 
 
+def _not_utf8(path: str, err: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not UTF-8 text: {err.reason} {err.object[err.start:err.end]!r}")
+
+
 def _read_long_csv(path: str, what: str, read_header, row_checks, duplicate):
     """Parse a long CSV into an (N, T, width) array plus unit and period labels.
 
@@ -672,14 +877,13 @@ def _read_long_csv(path: str, what: str, read_header, row_checks, duplicate):
     error; `duplicate(unit, period)` words the duplicate-cell error. An error
     names the file line of the first row that fails any check.
     """
-    with open(path, encoding="utf-8-sig") as handle:
-        for number, line in enumerate(handle, start=1):
-            if _is_data(line):
-                break
-        else:
-            raise DataError(f"{path}: no header row found")
-        width = read_header(next(csv.reader([line])))
-        values, codes, units, periods, numbers, bad = _load_rows(handle, number, width)
+    size = os.path.getsize(path)
+    split = _middle_line_start(path, size) if _split_pays(-(-size // _READ_BLOCK_CHARS)) else None
+    try:
+        width, rows = _load_file(path, read_header, split)
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from err
+    values, codes, units, periods, numbers, bad, _ = rows
     n, t = len(units), len(periods)
     cell = codes[0] * t + codes[1]
     index = np.arange(len(cell))
@@ -847,11 +1051,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _read_json_object(path: str, what: str) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as err:
             raise DataError(f"{path}: invalid JSON: {err}") from err
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from err
     if not isinstance(data, dict):
         raise DataError(f"{path}: {what} JSON must be an object")
     return data

@@ -76,6 +76,7 @@ class PowerCell:
     n_failures: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_reps", as_count(self.n_reps, "n_reps"))
         if self.n_reps < 1:
             raise ValidationError(f"n_reps must be >= 1, got {self.n_reps}")
         if not 0 <= self.n_failures < self.n_reps:
@@ -119,6 +120,7 @@ def run_power_cell(
         raise ValidationError(f"test_kind must be one of {TEST_KINDS}, got {test_kind!r}")
     if te_source not in TE_SOURCES:
         raise ValidationError(f"te_source must be one of {TE_SOURCES}, got {te_source!r}")
+    n_reps = as_count(n_reps, "n_reps")
     if n_reps < 1:
         raise ValidationError(f"n_reps must be >= 1, got {n_reps}")
     master_seed = check_seed(master_seed, "master_seed")
@@ -309,7 +311,10 @@ def run_grid(
         raise ValidationError("empty grid")
 
     run = functools.partial(_run_cell, grid_spec, n_reps, master_seed)
-    workers = (os.cpu_count() or 1) if n_workers is None else max(1, int(n_workers))
+    if n_workers is None:
+        workers = os.cpu_count() or 1
+    else:
+        workers = max(1, as_count(n_workers, "n_workers"))
     workers = min(workers, len(cells))
     if workers == 1:
         results = list(map(run, cells))

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 from array import array
 
@@ -280,26 +282,35 @@ def outcome(read, path):
     return result
 
 
-def assert_same_outcome(path, te=False):
-    new, old = (
-        outcome(read, path)
-        for read in ((read_te_csv, oracle_read_te_csv) if te
-                     else (read_panel_csv, oracle_read_panel_csv))
-    )
+def assert_equal_outcomes(new, old):
     assert len(new) == len(old)
     for a, b in zip(new, old):
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b, equal_nan=True)
         else:
             assert a == b
+
+
+def assert_same_outcome(path, te=False):
+    new, old = (
+        outcome(read, path)
+        for read in ((read_te_csv, oracle_read_te_csv) if te
+                     else (read_panel_csv, oracle_read_panel_csv))
+    )
+    assert_equal_outcomes(new, old)
     return new
 
 
-@pytest.fixture(params=["one-block", "many-blocks"])
+@pytest.fixture(params=["one-block", "many-blocks", "split"])
 def read_blocks(request, monkeypatch):
-    """Run each reader test on whole-file blocks and on blocks of one or two lines."""
-    if request.param == "many-blocks":
+    """Run each reader test on whole-file blocks, on blocks of one or two
+    lines, and on such blocks with the file split between this process and
+    a forked child wherever a line starts past its middle."""
+    if request.param != "one-block":
         monkeypatch.setattr(stio, "_READ_BLOCK_CHARS", 40)
+        monkeypatch.setattr(stio, "_SPLIT_MIN_BLOCKS", 2)
+        cpus = set(range(2 if request.param == "split" else 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
 
 def body_start(lines):
@@ -567,6 +578,19 @@ class TestReaderSyntax:
         with pytest.raises(DataError, match="row 2: quoted field not closed on its line"):
             read_te_csv(str(target))
 
+    def test_reads_from_a_pipe(self, tmp_path):
+        fifo = tmp_path / "te.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_text, args=("unit,period,te\na,1,0.5\n",), daemon=True
+        )
+        writer.start()
+        try:
+            assert read_te_csv(str(fifo))[1:] == (("a",), ("1",))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_byte_order_mark_accepted(self, tmp_path):
         source = tmp_path / "panel.csv"
         source.write_text(panel_text(tmp_path))
@@ -690,6 +714,270 @@ class TestWriter:
         assert target.stat().st_mode & 0o777 == 0o604
         assert json.loads(target.read_text()) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+# ---------------------------------------------------------------------------
+# A long CSV of several blocks is written and read in two halves, the second
+# by a forked child; the same call in one process is the oracle.
+
+
+SPLIT_MIN_BLOCKS = stio._SPLIT_MIN_BLOCKS
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Blocks of a few rows and lines, a split from two blocks on, and a
+    function that sets how many CPUs io sees and returns the list that
+    records each fork."""
+    forks = []
+    forked = stio._forked
+
+    def counted(work):
+        forks.append(work)
+        return forked(work)
+
+    monkeypatch.setattr(stio, "_forked", counted)
+    monkeypatch.setattr(stio, "_READ_BLOCK_CHARS", 64)
+    monkeypatch.setattr(stio, "_WRITE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(stio, "_SPLIT_MIN_BLOCKS", 2)
+
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        forks.clear()
+        return forks
+
+    return use
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_against_whole(read, path, cpus, splits=1):
+    """What `read` makes of a file with two CPUs, checked against what it
+    makes of it in one process."""
+    cpus(1)
+    whole = outcome(read, path)
+    forks = cpus(2)
+    split = outcome(read, path)
+    assert_no_child()
+    assert len(forks) == splits
+    assert_equal_outcomes(split, whole)
+    return split
+
+
+def te_lines(n_units=9, t=4):
+    """The lines of a TE CSV whose units are u0, u1, ..."""
+    values = np.random.default_rng(n_units).uniform(size=(n_units, t))
+    return oracle_long_csv(["# seed: 1"], [f"u{i}" for i in range(n_units)], range(t),
+                           {"te": values}).splitlines(keepends=True)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n_units", range(1, 10))
+    def test_written_bytes_at_every_split(self, tmp_path, monkeypatch, cpus, n_units):
+        scales = 10.0 ** np.arange(-6, 6, 3)  # plain and exponent reprs
+        te = np.random.default_rng(n_units).uniform(size=(n_units, 4)) * scales
+        units = [f"u{i}" if i % 3 else f'"é,{i}' for i in range(n_units)]
+        for units_per_block in (1, 2, 3):
+            monkeypatch.setattr(stio, "_WRITE_BLOCK_ROWS", 4 * units_per_block)
+            written = []
+            for count in (1, 2):
+                forks = cpus(count)
+                target = tmp_path / f"te-{count}.csv"
+                write_te_csv(te, units, [1, 2, 3, 4], str(target), {"seed": 1})
+                written.append(target.read_bytes())
+            assert_no_child()
+            assert len(forks) == (n_units > units_per_block)
+            assert written[0] == written[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["te-1.csv", "te-2.csv"]
+
+    def test_split_from_the_least_block_count(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(stio, "_SPLIT_MIN_BLOCKS", SPLIT_MIN_BLOCKS)
+        target = tmp_path / "te.csv"
+        for blocks in (SPLIT_MIN_BLOCKS - 1, SPLIT_MIN_BLOCKS):
+            forks = cpus(2)
+            # one unit of four periods to a write block
+            write_te_csv(np.full((blocks, 4), 0.5), range(blocks), range(4), str(target))
+            size = target.stat().st_size
+            monkeypatch.setattr(stio, "_READ_BLOCK_CHARS", -(-size // blocks))
+            assert -(-size // stio._READ_BLOCK_CHARS) == blocks
+            assert read_te_csv(str(target))[0].shape == (blocks, 4)
+            assert len(forks) == 2 * (blocks == SPLIT_MIN_BLOCKS)
+
+    def test_written_panel_reads_back(self, tmp_path, cpus):
+        panel = simulated_panel(n=9, t=5)
+        target = tmp_path / "panel.csv"
+        forks = cpus(2)
+        write_panel_csv(panel, str(target), {"seed": 5})
+        assert len(forks) == 1
+        result = split_against_whole(read_panel_csv, target, cpus)
+        assert result[4] == tuple(map(str, panel.unit_ids))
+        assert np.array_equal(result[2], panel.spatial)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda t: t, shuffled, with_comments_and_blanks, padded,
+            lambda t: "\ufeff" + t.replace("\n", "\r\n"),
+        ],
+        ids=["as-written", "shuffled", "comments-and-blanks", "padded-numbers", "bom-and-crlf"],
+    )
+    def test_same_arrays_and_labels(self, tmp_path, cpus, transform):
+        target = tmp_path / "panel.csv"
+        target.write_bytes(transform(panel_text(tmp_path)).encode())
+        result = split_against_whole(read_panel_csv, target, cpus)
+        assert result[0].shape == (7, 6)
+
+    def test_labels_first_seen_in_the_second_half(self, tmp_path, cpus):
+        lines = te_lines()
+        target = tmp_path / "te.csv"
+        target.write_text("".join(lines))
+        assert split_against_whole(read_te_csv, target, cpus)[1] == tuple(
+            f"u{i}" for i in range(9)
+        )
+        # a period first seen in the last row leaves the others' cells missing
+        target.write_text("".join(lines[:-1] + ["u8,late,0.5\n"]))
+        split_against_whole(read_te_csv, target, cpus)
+        assert outcome(read_te_csv, target) == (
+            DataError, "unbalanced TE matrix: missing cell (unit u0, period late)"
+        )
+
+    def test_byte_order_mark_counts_only_at_the_start(self, tmp_path, cpus):
+        # every row starts with U+FEFF, so one starts the second half too
+        units = [f"\ufeffu{i}" for i in range(9)]
+        text = oracle_long_csv(["# seed: 1"], units, range(4), {"te": np.full((9, 4), 0.5)})
+        target = tmp_path / "te.csv"
+        target.write_text("\ufeff" + text)
+        assert split_against_whole(read_te_csv, target, cpus)[1] == tuple(units)
+
+    @pytest.mark.parametrize(
+        "edit, row",
+        [
+            ({-1: "u0,0,0.5\n"}, -1),  # duplicates the first cell
+            ({-1: "u8,3,x\n"}, -1),
+            ({3: "u0,1,x\n", -1: "u8,3,x\n"}, 3),
+            ({3: "u0,1,0.5,0.5\n", -1: "u0,0,0.5\n"}, 3),
+        ],
+        ids=["duplicate-across-halves", "malformed-second-half", "malformed-both-halves",
+             "malformed-first-duplicate-second"],
+    )
+    def test_errors_name_the_first_bad_row(self, tmp_path, cpus, edit, row):
+        lines = te_lines()
+        for at, line in edit.items():
+            lines[at] = line
+        target = tmp_path / "te.csv"
+        target.write_text("".join(lines))
+        error = split_against_whole(read_te_csv, target, cpus)
+        assert error[0] is DataError
+        assert error[1].startswith(f"row {range(1, len(lines) + 1)[row]}: ")
+
+    @pytest.mark.parametrize("at", [0.25, 0.9], ids=["first-half", "second-half"])
+    def test_undecodable_byte_named(self, tmp_path, cpus, at):
+        # past the first 8 KiB, which the text layer decodes to find the header
+        lines = [line.encode() for line in te_lines(400)]
+        at = int(at * len(lines))
+        lines[at] = lines[at].replace(b"u", b"\xff", 1)
+        target = tmp_path / "te.csv"
+        target.write_bytes(b"".join(lines))
+        error = split_against_whole(read_te_csv, target, cpus)
+        assert error == (DataError, f"{target}: not UTF-8 text: invalid start byte b'\\xff'")
+
+    def test_child_killed_when_the_first_half_decides(self, tmp_path, monkeypatch, cpus):
+        parent = os.getpid()
+        load_rows = stio._load_rows
+
+        def slow_in_the_child(handle, number, width):
+            if os.getpid() != parent:
+                time.sleep(120)
+            return load_rows(handle, number, width)
+
+        monkeypatch.setattr(stio, "_load_rows", slow_in_the_child)
+        lines = te_lines()
+        lines[3] = "u0,1,x\n"
+        target = tmp_path / "te.csv"
+        target.write_text("".join(lines))
+        forks = cpus(2)
+        start = time.monotonic()
+        with pytest.raises(DataError, match="^row 4: malformed number"):
+            read_te_csv(str(target))
+        assert time.monotonic() - start < 60 and len(forks) == 1
+        assert_no_child()
+
+    def test_no_split_without_a_line_start_past_the_middle(self, tmp_path, cpus):
+        target = tmp_path / "te.csv"
+        target.write_text("".join(te_lines()).replace("\n", "\r"))
+        assert split_against_whole(read_te_csv, target, cpus, splits=0)[0].shape == (9, 4)
+        target.write_text("".join(te_lines(3)) + "#" * 1000 + "\n")
+        assert split_against_whole(read_te_csv, target, cpus, splits=0)[0].shape == (3, 4)
+
+    def test_no_split_when_the_header_follows_the_middle(self, tmp_path, cpus):
+        target = tmp_path / "te.csv"
+        target.write_text("#\n" * 1000 + "".join(te_lines()))
+        assert split_against_whole(read_te_csv, target, cpus, splits=0)[1][-1] == "u8"
+
+    def test_no_split_with_another_thread_running(self, tmp_path, cpus):
+        forks = cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            write_te_csv(np.full((9, 4), 0.5), range(9), range(4), str(tmp_path / "te.csv"))
+            read_te_csv(str(tmp_path / "te.csv"))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert forks == [] and not thread.is_alive()
+
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    def test_writer_error_in_either_half(self, tmp_path, monkeypatch, cpus, where):
+        parent = os.getpid()
+        format_floats = stio._format_floats
+
+        def failing(values):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError(f"planted in the {where}")
+            return format_floats(values)
+
+        monkeypatch.setattr(stio, "_format_floats", failing)
+        forks = cpus(2)
+        with pytest.raises(RuntimeError, match=f"planted in the {where}"):
+            write_te_csv(np.full((9, 4), 0.5), range(9), range(4), str(tmp_path / "te.csv"))
+        assert len(forks) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child()
+
+    def test_child_that_dies_is_named(self, tmp_path, monkeypatch, cpus):
+        parent = os.getpid()
+        format_floats = stio._format_floats
+
+        def dying(values):
+            if os.getpid() != parent:
+                os._exit(3)
+            return format_floats(values)
+
+        monkeypatch.setattr(stio, "_format_floats", dying)
+        cpus(2)
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            write_te_csv(np.full((9, 4), 0.5), range(9), range(4), str(tmp_path / "te.csv"))
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child()
+
+    def test_cli_simulate_prints_its_summary_once(self, tmp_path):
+        # 1000 x 30 rows are eight write blocks
+        (tmp_path / "s.json").write_text(json.dumps({"n_units": 1000, "n_periods": 30}))
+        src = os.path.dirname(os.path.dirname(stio.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "from stfrontier.cli import main; main()",
+             "simulate", "--scenario", "s.json", "--seed", "7", "--out", "p.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("simulate: wrote 30000 rows") == 1
+        assert len(done.stdout.splitlines()) == 1 and done.stderr == ""
 
 
 class TestScenarioJson:
@@ -1021,6 +1309,22 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_undecodable_inputs_named(self, tmp_path, capsys, scenario_file):
+        panel_csv, out = tmp_path / "panel.csv", tmp_path / "out"
+        parse_and_dispatch(["simulate", "--scenario", str(scenario_file), "--out", str(panel_csv)])
+        capsys.readouterr()
+        panel_csv.write_bytes(panel_csv.read_bytes().replace(b"\n3,", b"\n\xff3,", 1))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(b'{"n_units": 8, "n_periods": 9, "dominance": "\xff"}')
+        for argv, path in (
+            (["estimate", "--panel", str(panel_csv)], panel_csv),
+            (["simulate", "--scenario", str(scenario)], scenario),
+        ):
+            assert parse_and_dispatch(argv + ["--out", str(out)]) == 1
+            message = f"{path}: not UTF-8 text: invalid start byte b'\\xff'"
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_commands_never_import_scipy(self, tmp_path):
         # scipy is loaded only to name the columns of a singular design; the

@@ -69,6 +69,16 @@ class TestRunPowerCell:
         with pytest.raises(ValidationError, match="test_kind"):
             run_power_cell(tiny_scenario(), "both", 2, master_seed=5)
 
+    @pytest.mark.parametrize("n_reps", [2.5, True, "2", None])
+    def test_refused_replication_counts(self, n_reps):
+        message = f"n_reps must be an integer, got {n_reps!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_power_cell(tiny_scenario(), "spatial", n_reps, master_seed=5)
+
+    def test_integral_float_replication_count_accepted(self):
+        cell = run_power_cell(tiny_scenario(), "spatial", 1.0, master_seed=1, boot_k=100, alpha=0.1)
+        assert type(cell.n_reps) is int and cell.n_reps == 1
+
     def test_failing_replications_abort_cell(self):
         # an absurd sigma_eps makes every replication fail rejection sampling
         scenario = tiny_scenario(base_params=ModelParams(rho=0.3, sigma_eps=1e8))
@@ -107,6 +117,18 @@ class TestPowerCellInvariants:
                 n_reps=10,
                 n_rejections=3,
                 rejection_rate=0.5,
+            )
+
+    @pytest.mark.parametrize("n_reps", [10.5, True])
+    def test_refused_replication_counts(self, n_reps):
+        message = f"n_reps must be an integer, got {n_reps!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PowerCell(
+                scenario=tiny_scenario(),
+                test_kind="temporal",
+                n_reps=n_reps,
+                n_rejections=0,
+                rejection_rate=0.0,
             )
 
     def test_rate_over_completed_replications(self):
@@ -276,6 +298,12 @@ class TestProcessPool:
         monkeypatch.setattr(power.os, "cpu_count", lambda: 64)
         run_grid(grid, 1, master_seed=15)
         assert recorded_pools == [(2, "fork")] * 4
+
+    @pytest.mark.parametrize("n_workers", [1.5, True, "2"])
+    def test_refused_worker_counts(self, recorded_pools, n_workers):
+        with pytest.raises(ValidationError, match="n_workers must be an integer"):
+            run_grid(tiny_grid(), 1, master_seed=15, n_workers=n_workers)
+        assert recorded_pools == []
 
     def test_one_worker_runs_in_process(self, recorded_pools):
         run_grid(tiny_grid(), 1, master_seed=15, n_workers=1)
