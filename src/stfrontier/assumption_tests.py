@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import BootstrapError, EstimationError, ValidationError
 from .estimation import fit_frontier_gls, least_squares
-from .frontier import te_to_logit
+from .frontier import TE_LOWER, te_to_logit
 from .rng import check_seed, substream
 from .types import PanelDataset, as_count
 
@@ -496,7 +496,7 @@ def fit_spatial_slice(te_row, w_slice, z_slice) -> np.ndarray:
         raise ValidationError(
             f"w_slice has {design.shape[0]} rows for {te.shape[0]} TE values"
         )
-    bad = (te <= np.exp(-1.0)) | (te >= 1.0)
+    bad = (te <= TE_LOWER) | (te >= 1.0)
     if bad.any():
         idx = int(np.argmax(bad))
         raise ValidationError(

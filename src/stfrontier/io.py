@@ -25,16 +25,17 @@ the mask keeps are the block's bytes, written below the text layer. Values
 outside the kernel's domain go to repr() one by one.
 
 A long CSV of _SPLIT_MIN_BLOCKS blocks or more is written or read in two
-halves when a second CPU is usable and no other thread runs: one forked
-child runs the same code on the second half while this process runs the
-first. The writer's child writes its blocks to an unnamed temporary file
-beside the target, and this process copies them in after its own, so it
-never holds the child's text. The reader splits the file after the first
-newline past its middle byte; the child parses the rows after the split
-and sends them back pickled through a pipe, and this process joins them to
-its own exactly as one pass would have returned them. So each process holds
-the blocks of its own half, and this process receives the child's rows,
-which one pass would have held too.
+halves when power.fork_width() allows a second process: one child, forked
+by power.forked, runs the same code on the second half while this process
+runs the first. The writer's child writes its blocks to an unnamed
+temporary file beside the target, and this process copies them in after
+its own, so it never holds the child's text. The reader splits the file
+after the first newline past its middle byte; the child parses the rows
+after the split and sends them back pickled through a pipe. This process
+joins the halves' labels and line numbers as one pass would have returned
+them, and checks and copies each half's values into the table on its own.
+So each process holds the blocks of its own half, and this process
+receives the child's rows, which one pass would have held too.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ import functools
 import json
 import math
 import os
-import pickle
 import re
 import shutil
-import signal
 import stat
 import sys
 import tempfile
-import threading
 from contextlib import contextmanager
 from dataclasses import asdict
 from io import BufferedReader, RawIOBase, StringIO, TextIOWrapper
@@ -63,7 +61,7 @@ from .assumption_tests import TestReport
 from .errors import DataError, ValidationError
 from .estimation import EstimationResult
 from .frontier import elementwise
-from .power import GridSpec, PowerTable, default_power_params
+from .power import GridSpec, PowerTable, default_power_params, fork_width, forked as _forked
 from .types import ModelParams, PanelDataset, Scenario, as_count
 
 
@@ -108,78 +106,22 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # Block sizes for writing and reading long CSVs: they bound the memory that a
-# write or a parse holds beyond its input or its result.
-_WRITE_BLOCK_ROWS = 4096
+# write or a parse holds beyond its input or its result. A write block is
+# sized by the bytes of its row matrix, so it is the same work whatever the
+# number of columns.
+_WRITE_BLOCK_BYTES = 1 << 20
 _READ_BLOCK_CHARS = 1 << 19
 
 # A long CSV of at least this many blocks is written or read in two halves,
 # the second by a forked child. The fork and the copy-on-write faults it
-# brings cost about 10 ms, which a panel CSV wins back from 4-5 blocks on
-# (ledger D15).
+# brings cost about 10 ms, which panel and TE CSVs alike win back from 5-6
+# blocks on (ledgers D15, D16).
 _SPLIT_MIN_BLOCKS = 6
 
 
 def _split_pays(blocks: int) -> bool:
-    """Whether a long CSV of `blocks` blocks is worth splitting with a child:
-    a second CPU is usable, and no other thread runs, since a forked child
-    would inherit that thread's locks but not the thread."""
-    return (
-        blocks >= _SPLIT_MIN_BLOCKS
-        and hasattr(os, "sched_getaffinity")  # elsewhere one process does it all
-        and len(os.sched_getaffinity(0)) > 1
-        and threading.active_count() == 1
-    )
-
-
-@contextmanager
-def _forked(work):
-    """Run work() in a forked child while the with-block runs here.
-
-    Yields a function that waits for the child and returns what work()
-    returned, or raises what it raised; either comes back pickled through a
-    pipe. The child leaves only through os._exit, so it runs none of the
-    caller's cleanup and flushes no inherited buffer. The child is killed
-    if the block leaves before taking its result, and always reaped.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                try:
-                    outcome = True, work()
-                except BaseException as err:
-                    outcome = False, err
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    taken = False
-
-    def join():
-        nonlocal taken
-        try:
-            ok, result = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError) as err:
-            raise ChildProcessError(f"forked child {pid} ended without a result") from err
-        taken = True
-        if not ok:
-            raise result
-        return result
-
-    try:
-        with open(read_end, "rb") as pipe:
-            yield join
-    finally:
-        if not taken:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    """Whether a long CSV of `blocks` blocks is worth splitting with a child."""
+    return blocks >= _SPLIT_MIN_BLOCKS and fork_width() > 1
 
 
 class _Echo:
@@ -396,7 +338,7 @@ def _write_long_csv(
     unit_width = units[0].shape[1]
     label_width = unit_width + periods[0].shape[1]
     width = label_width + len(values) * _SLOT + 1  # each slot's spare byte 0 takes a comma
-    block_units = max(1, _WRITE_BLOCK_ROWS // max(t, 1))
+    block_units = max(1, _WRITE_BLOCK_BYTES // max(t * width, 1))
     starts = range(0, n, block_units)
 
     def write_blocks(sink, block_starts):
@@ -702,10 +644,11 @@ def _load_rows(handle, number: int, width: int):
     _READ_BLOCK_CHARS characters at a time: a plain block with _parse_floats,
     any other with np.loadtxt.
 
-    Returns the (M, width) values, the (2, M) unit and period index of each
-    row, the unit and period labels in first-seen order, each row's file
-    line number, the first (number, line) that loadtxt rejects, or None,
-    and the number of the last line read. Parsing stops at a rejected line.
+    Returns the (M, width) values as a list of one array, the (2, M) unit
+    and period index of each row, the unit and period labels in first-seen
+    order, each row's file line number, the first (number, line) that
+    loadtxt rejects, or None, and the number of the last line read. Parsing
+    stops at a rejected line.
     """
     dtype = [("unit", object), ("period", object), ("values", float, (width,))]
     labels: tuple[dict, dict] = ({}, {})  # label -> index, in first-seen order
@@ -745,7 +688,7 @@ def _load_rows(handle, number: int, width: int):
         codes.append(block_codes)
     units, periods = map(tuple, labels)
     return (
-        np.concatenate(values),
+        [np.concatenate(values)],
         np.hstack(codes),
         units,
         periods,
@@ -758,7 +701,8 @@ def _load_rows(handle, number: int, width: int):
 def _joined(head, tail):
     """One _load_rows result from the results of two consecutive parts of a
     file, the second numbered from its own start: the tail's labels join the
-    head's in first-seen order, and its codes and line numbers follow."""
+    head's in first-seen order, and its codes and line numbers follow. The
+    values stay in their parts, so they are not copied here."""
     values, codes, units, periods, numbers, _, lines = head
     tail_values, tail_codes, tail_units, tail_periods, tail_numbers, bad, tail_lines = tail
     labels, remapped = [], np.empty_like(tail_codes)
@@ -770,7 +714,7 @@ def _joined(head, tail):
         out[:] = np.array(found, np.intp)[row]
         labels.append(tuple(index))
     return (
-        np.concatenate([values, tail_values]),
+        values + tail_values,
         np.hstack([codes, remapped]),
         *labels,
         np.concatenate([numbers, tail_numbers + lines]),
@@ -883,21 +827,26 @@ def _read_long_csv(path: str, what: str, read_header, row_checks, duplicate):
         width, rows = _load_file(path, read_header, split)
     except UnicodeDecodeError as err:
         raise _not_utf8(path, err) from err
-    values, codes, units, periods, numbers, bad, _ = rows
+    parts, codes, units, periods, numbers, bad, _ = rows
     n, t = len(units), len(periods)
     cell = codes[0] * t + codes[1]
     index = np.arange(len(cell))
     first = np.full(n * t, -1)
     first[cell[::-1]] = index[::-1]  # the last write wins: each cell's first row
-    checks = [
-        *row_checks(values),
-        (first[cell] != index, lambda i: duplicate(units[codes[0, i]], periods[codes[1, i]])),
-    ]
-    failing = np.array([mask for mask, _ in checks])
-    if failing.any():
-        row = int(failing.any(axis=0).argmax())
-        describe = checks[int(failing[:, row].argmax())][1]
-        raise DataError(f"row {numbers[row]}: {describe(row)}")
+    repeated = first[cell] != index
+    table = np.empty((n, t, width))
+    start = 0
+    for values in parts:  # in row order, so the first failing part has the first bad row
+        span = slice(start, start + len(values))
+        checks = [*row_checks(values), (repeated[span], lambda i: duplicate(
+            units[codes[0, start + i]], periods[codes[1, start + i]]))]
+        failing = np.array([mask for mask, _ in checks])
+        if failing.any():
+            row = int(failing.any(axis=0).argmax())
+            describe = checks[int(failing[:, row].argmax())][1]
+            raise DataError(f"row {numbers[start + row]}: {describe(row)}")
+        table.reshape(n * t, width)[cell[span]] = values
+        start = span.stop
     if bad is not None:
         raise DataError(f"row {bad[0]}: {_malformed(bad[1], width)}")
     if (first < 0).any():
@@ -905,8 +854,6 @@ def _read_long_csv(path: str, what: str, read_header, row_checks, duplicate):
         raise DataError(
             f"unbalanced {what}: missing cell (unit {units[i]}, period {periods[j]})"
         )
-    table = np.empty((n, t, width))
-    table.reshape(n * t, width)[cell] = values
     return table, units, periods
 
 

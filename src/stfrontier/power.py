@@ -6,22 +6,26 @@ seeds, and the rejection rate is recorded. Cells and replications may run in
 any order or degree of parallelism without changing the output: every
 replication's seed is a stable hash of (master_seed, cell key, index).
 
-run_grid runs its cells in worker processes, one per CPU by default and never
-more than one per cell. A replication is many small numpy calls driven from
-Python, so threads would spend most of their time waiting for the GIL: two
-threads measured only 7-15% faster than one, two forked processes about 1.6x
-(ledger D8 in CHANGES.md). The workers are forked, not spawned, so they start
-without importing the package again (about 0.6 s each) and inherit the
-caller's module state, patched attributes included. run_power_cell itself
-runs its replications serially in the calling process.
+The package's one way to use a second CPU is here, with no pool:
+fork_width counts the processes that may share work, and forked runs one
+share in a forked child. run_grid deals its cells into one share per
+process, and io splits long CSVs this way. A replication is many small
+numpy calls driven from Python, so threads would spend most of their time
+waiting for the GIL: two threads measured only 7-15% faster than one, two
+forked processes about 1.6x (ledger D8 in CHANGES.md). The children are
+forked, not spawned, so they start without importing the package again
+(about 0.6 s each) and inherit the caller's module state, patched
+attributes included. run_power_cell runs its replications serially.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import threading
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 from .assumption_tests import (
@@ -42,6 +46,66 @@ TE_SOURCES = ("true", "estimated")
 
 #: Share of errored replications beyond which a cell is abandoned.
 _MAX_FAILURE_SHARE = 0.01
+
+
+def fork_width() -> int:
+    """How many processes may share work: the CPUs this process may run on,
+    or 1 where that is unknown or another thread runs, since a forked child
+    would inherit that thread's locks but not the thread."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def forked(work):
+    """Run work() in a forked child while the with-block runs here.
+
+    Yields a function that waits for the child and returns what work()
+    returned, or raises what it raised; either comes back pickled through a
+    pipe. The child leaves only through os._exit, so it runs none of the
+    caller's cleanup and flushes no inherited buffer. The child is killed
+    if the block leaves before taking its result, and always reaped.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    outcome = True, work()
+                except BaseException as err:
+                    outcome = False, err
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    taken = False
+
+    def join():
+        nonlocal taken
+        try:
+            ok, result = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError) as err:
+            raise ChildProcessError(f"forked child {pid} ended without a result") from err
+        taken = True
+        if not ok:
+            raise result
+        return result
+
+    try:
+        with open(read_end, "rb") as pipe:
+            yield join
+    finally:
+        if not taken:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def default_power_params() -> ModelParams:
@@ -240,8 +304,6 @@ class GridSpec:
 @dataclass(frozen=True)
 class PowerTable:
     cells: tuple[PowerCell, ...]
-    grid_spec: GridSpec
-    master_seed: int
 
     CSV_HEADER = "test,n,T,dominance,fraction,shift,reps,rejections,rate"
 
@@ -274,22 +336,6 @@ class PowerTable:
         return "\n".join(lines)
 
 
-def _run_cell(grid_spec: GridSpec, n_reps: int, master_seed: int, item) -> PowerCell:
-    """One grid cell; module-level so that a worker process can unpickle it."""
-    scenario, kind = item
-    return run_power_cell(
-        scenario,
-        kind,
-        n_reps,
-        master_seed,
-        boot_k=grid_spec.boot_k,
-        alpha=grid_spec.alpha,
-        ar_order_p=grid_spec.ar_order_p,
-        series_source=grid_spec.series_source,
-        te_source=grid_spec.te_source,
-    )
-
-
 def run_grid(
     grid_spec: GridSpec,
     n_reps: int,
@@ -299,44 +345,48 @@ def run_grid(
 ) -> PowerTable:
     """Run every cell of the grid; output is identical for any worker count.
 
-    Each cell is one work item for a pool of forked worker processes; the
-    module docstring says why processes and why fork. ``n_workers=None``
-    means one worker per CPU. Any count is clamped to the number of cells,
-    and one worker runs the cells in this process without forking. A cell
-    that aborts in a worker raises its exception here, as it would serially.
+    The cells are dealt into strided shares: this process runs the first
+    and a forked child each other one. ``n_workers`` caps the processes, None
+    means no cap, and there are never more than fork_width() or the cells.
+    Each share stops at its first error, and the earliest cell's error is
+    raised here, as a serial run would raise it.
     """
     master_seed = check_seed(master_seed, "master_seed")
     cells = list(grid_spec.cells())
     if not cells:
         raise ValidationError("empty grid")
+    cap = len(cells) if n_workers is None else max(1, as_count(n_workers, "n_workers"))
+    width = min(fork_width(), cap, len(cells))
+    names = ("boot_k", "alpha", "ar_order_p", "series_source", "te_source")
+    settings = {name: getattr(grid_spec, name) for name in names}
 
-    run = functools.partial(_run_cell, grid_spec, n_reps, master_seed)
-    if n_workers is None:
-        workers = os.cpu_count() or 1
-    else:
-        workers = max(1, as_count(n_workers, "n_workers"))
-    workers = min(workers, len(cells))
-    if workers == 1:
-        results = list(map(run, cells))
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            results = list(pool.map(run, cells))
+    def share(first: int):
+        """The cells first, first + width, ... in order, up to the first that
+        raises, and that error or None."""
+        done = []
+        for scenario, kind in cells[first::width]:
+            try:
+                done.append(run_power_cell(scenario, kind, n_reps, master_seed, **settings))
+            except Exception as err:
+                return done, err
+        return done, None
+
+    with ExitStack() as children:
+        joins = [children.enter_context(forked(functools.partial(share, first)))
+                 for first in range(1, width)]
+        shares = [share(0), *(join() for join in joins)]
+    # a share that stopped did so at its cell first + len(done) * width
+    stopped = [(first + len(done) * width, err)
+               for first, (done, err) in enumerate(shares) if err is not None]
+    if stopped:
+        raise min(stopped, key=lambda item: item[0])[1]
+    results = [None] * len(cells)
+    for first, (done, _) in enumerate(shares):
+        results[first::width] = done
 
     def _order(cell: PowerCell):
         sc = cell.scenario
-        return (
-            cell.test_kind,
-            sc.n_units,
-            sc.n_periods,
-            sc.dominance,
-            sc.contamination_fraction,
-            cell.shift,
-        )
+        return (cell.test_kind, sc.n_units, sc.n_periods, sc.dominance,
+                sc.contamination_fraction, cell.shift)
 
-    return PowerTable(
-        cells=tuple(sorted(results, key=_order)),
-        grid_spec=grid_spec,
-        master_seed=master_seed,
-    )
+    return PowerTable(cells=tuple(sorted(results, key=_order)))

@@ -23,6 +23,7 @@ from stfrontier import (
     PanelDataset,
     Scenario,
     ValidationError,
+    run_grid,
     simulate_panel,
 )
 from stfrontier.cli import _build_parser, parse_and_dispatch
@@ -620,9 +621,11 @@ def oracle_long_csv(meta_lines, unit_ids, period_ids, columns):
 
 
 class TestWriter:
-    @pytest.mark.parametrize("block_rows", [8192, 7, 1])
-    def test_blocks_write_the_column_wise_bytes(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(stio, "_WRITE_BLOCK_ROWS", block_rows)
+    # a unit's three rows take 180 bytes of row matrix, so these are all the
+    # units, two and one to a block
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 360, 1])
+    def test_blocks_write_the_column_wise_bytes(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(stio, "_WRITE_BLOCK_BYTES", block_bytes)
         scales = 10.0 ** np.arange(-6, 9).reshape(5, 3)  # plain and exponent reprs
         te = np.random.default_rng(3).uniform(size=(5, 3)) * scales
         units, periods = ["a,b", 'c"d', "e#f", "", 5], ["1", " 2", "#x y"]
@@ -726,9 +729,9 @@ SPLIT_MIN_BLOCKS = stio._SPLIT_MIN_BLOCKS
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """Blocks of a few rows and lines, a split from two blocks on, and a
-    function that sets how many CPUs io sees and returns the list that
-    records each fork."""
+    """Write blocks of one unit, read blocks of a few lines, a split from two
+    blocks on, and a function that sets how many CPUs io sees and returns
+    the list that records each fork."""
     forks = []
     forked = stio._forked
 
@@ -738,7 +741,7 @@ def cpus(monkeypatch):
 
     monkeypatch.setattr(stio, "_forked", counted)
     monkeypatch.setattr(stio, "_READ_BLOCK_CHARS", 64)
-    monkeypatch.setattr(stio, "_WRITE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(stio, "_WRITE_BLOCK_BYTES", 1)
     monkeypatch.setattr(stio, "_SPLIT_MIN_BLOCKS", 2)
 
     def use(count):
@@ -781,7 +784,9 @@ class TestSplit:
         te = np.random.default_rng(n_units).uniform(size=(n_units, 4)) * scales
         units = [f"u{i}" if i % 3 else f'"é,{i}' for i in range(n_units)]
         for units_per_block in (1, 2, 3):
-            monkeypatch.setattr(stio, "_WRITE_BLOCK_ROWS", 4 * units_per_block)
+            # a unit's row matrix is 4 rows of 59 bytes: the 9-byte field of
+            # '"é,0' and its comma, one byte of period and a 49-byte slot
+            monkeypatch.setattr(stio, "_WRITE_BLOCK_BYTES", 4 * 59 * units_per_block)
             written = []
             for count in (1, 2):
                 forks = cpus(count)
@@ -1328,7 +1333,8 @@ class TestCli:
 
     def test_commands_never_import_scipy(self, tmp_path):
         # scipy is loaded only to name the columns of a singular design; the
-        # collinear-columns tests cover that path
+        # collinear-columns tests cover that path. The process modules are
+        # never loaded: the package forks with os.fork alone
         script = textwrap.dedent(
             """
             import json, sys
@@ -1345,7 +1351,8 @@ class TestCli:
                 "test-spatial --panel p.csv --te te.csv --boot-k 100 --seed 1 --out s2.json",
                 "power --grid g.json --reps 1 --seed 1 --out pw.csv",
             )]
-            print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+            print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(
+                ("scipy", "multiprocessing", "concurrent")))]))
             """
         )
         src = os.path.dirname(os.path.dirname(stio.__file__))
@@ -1356,10 +1363,10 @@ class TestCli:
             capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+        codes, modules = json.loads(done.stdout.splitlines()[-1])
         assert all(code in (0, 3) for code in codes), codes
         assert (tmp_path / "pw.csv").exists()
-        assert scipy_modules == []
+        assert modules == []
 
     def test_negative_seed_rejected(self, tmp_path, scenario_file):
         code = parse_and_dispatch(
@@ -1374,3 +1381,53 @@ class TestCli:
             ]
         )
         assert code == 1
+
+
+# sha256 of each artifact of test_output_bytes_are_pinned, recorded when the
+# power grid still ran on a process pool
+PINNED_SHA256 = {
+    "e.json": "86c6fac61865f545d27f800a0ba899aa34b910182888dcf89a0c26c10524b181",
+    "grid1.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
+    "grid2.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
+    "p.csv": "2cbb7155659b96d200c27f270c8bf901e5e713ebc5c789648a100e9e10555879",
+    "pw.csv": "69d8ae34aee4249ecee85ee7c4e2cf0858af86947dcf99b911e4623ff1e4e26b",
+    "s1.json": "c37214721c378c8dd6c51f6fa4311507e25e0d283e4de42bef4e85de537e1a02",
+    "s2.json": "f86b589e6211a5388115744854537653507a465e47bb2a3bdd196a72abe1e2ba",
+    "split.csv": "ad35f9188575b4915bc2e1695a702f768accc8d4f64123b88f89a6e988b985ec",
+    "t1.json": "5d043fc03bbfdf3745961c0bec66e9759c8dd7c0ff8dcf3a022efdf2ce0259af",
+    "t2.json": "e49607d1f1da1e2bf3082b919e523ad5fc29962b16e19bf950c15e63fedc4be3",
+    "te.csv": "5e57ace551fbdc546e4e04cc4b2aaaca98017dc578308d03e023a2a1940b4b21",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    """Every command on a small fixed-seed panel, the power grid on one and
+    two workers, and a panel written and read back split keep their bytes.
+    Relative paths keep the command lines in the meta records fixed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"n_units": 12, "n_periods": 10, "seed": 4}))
+    grid = {"test_kinds": ["temporal", "spatial"], "n_values": [12], "t_values": [10],
+            "dominances": ["equal"], "fractions": [0.2], "shifts": [1.0], "boot_k": 100}
+    (tmp_path / "g.json").write_text(json.dumps(grid))
+    for argv in (
+        "simulate --scenario s.json --out p.csv",
+        "estimate --panel p.csv --out e.json --te-out te.csv",
+        "test-temporal --panel p.csv --boot-k 100 --seed 1 --out t1.json",
+        "test-temporal --panel p.csv --ar-order 2 --boot-k 100 --seed 1 --out t2.json",
+        "test-spatial --panel p.csv --boot-k 100 --seed 1 --out s1.json",
+        "test-spatial --panel p.csv --te te.csv --boot-k 100 --seed 1 --out s2.json",
+        "power --grid g.json --reps 2 --seed 1 --out pw.csv",
+    ):
+        assert parse_and_dispatch(argv.split()) in (0, 3), capsys.readouterr().err
+    # two CPUs, and blocks of a few rows and lines that split from two on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(stio, "_READ_BLOCK_CHARS", 64)
+    monkeypatch.setattr(stio, "_WRITE_BLOCK_BYTES", 1)
+    monkeypatch.setattr(stio, "_SPLIT_MIN_BLOCKS", 2)
+    write_panel_csv(read_panel_csv("p.csv"), "split.csv", {"seed": 4})
+    for n_workers in (1, 2):
+        table = run_grid(stio.read_grid_json("g.json"), 2, 1, n_workers=n_workers)
+        stio.write_power_csv(table, f"grid{n_workers}.csv")
+    inputs = {"s.json", "g.json"}
+    written = {path.name: sha(path) for path in sorted(tmp_path.iterdir()) if path.name not in inputs}
+    assert written == PINNED_SHA256

@@ -1,4 +1,7 @@
+import contextlib
+import os
 import re
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -230,11 +233,11 @@ class TestRunGrid:
         assert len(rows) == 1 + 2  # header, size cell, one power cell
         assert rows[1].startswith("spatial,8,9,equal,0.0,")
 
-    def test_identical_output_for_any_worker_count(self):
-        grid = tiny_grid(fractions=(0.2,), shifts=(0.5, 1.5))
-        serial = run_grid(grid, 2, master_seed=12, n_workers=1)
-        threaded = run_grid(grid, 2, master_seed=12, n_workers=3)
-        assert serial.csv_rows() == threaded.csv_rows()
+    def test_identical_output_for_any_worker_count(self, monkeypatch):
+        monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        grid = tiny_grid(fractions=(0.2,), shifts=(0.5, 1.0, 1.5))
+        rows = [run_grid(grid, 2, master_seed=12, n_workers=n).csv_rows() for n in (1, 2, 3)]
+        assert rows[1:] == [rows[0]] * 2
 
     def test_benchmark_temporal_grid_rows_are_pinned(self):
         # the benchmark's mc-temporal grid: a null cell and 10% of units at
@@ -263,55 +266,70 @@ class TestRunGrid:
         assert "equal" in text
 
 
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(power.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
-def recorded_pools(monkeypatch):
-    """Replace the process pool with one that records how it was built and
-    maps in this process, so no worker is started."""
-    built = []
+def recorded_forks(monkeypatch):
+    """Two CPUs, and power.forked replaced by a fake that records each share
+    it is given and runs it in this process, so no child is started."""
+    forks = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context):
-            built.append((max_workers, mp_context.get_start_method()))
+    @contextlib.contextmanager
+    def in_process(work):
+        forks.append(work)
+        result = work()
+        yield lambda: result
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(power, "ProcessPoolExecutor", RecordingPool)
-    return built
+    monkeypatch.setattr(power, "forked", in_process)
+    use_cpus(monkeypatch, 2)
+    return forks
 
 
-class TestProcessPool:
-    def test_pool_forks_its_workers(self, recorded_pools):
+class TestForkedShares:
+    def test_two_workers_fork_one_child(self, recorded_forks):
         run_grid(tiny_grid(), 1, master_seed=15, n_workers=2)
-        assert recorded_pools == [(2, "fork")]
+        assert len(recorded_forks) == 1
 
-    def test_workers_never_outnumber_cells(self, recorded_pools, monkeypatch):
+    def test_processes_never_outnumber_cells(self, recorded_forks, monkeypatch):
         grid = tiny_grid()  # two cells
         for n_workers in (2, 4, 10**6):
             run_grid(grid, 1, master_seed=15, n_workers=n_workers)
-        monkeypatch.setattr(power.os, "cpu_count", lambda: 64)
+        use_cpus(monkeypatch, 64)
         run_grid(grid, 1, master_seed=15)
-        assert recorded_pools == [(2, "fork")] * 4
+        assert len(recorded_forks) == 4
+
+    def test_processes_never_outnumber_cpus(self, recorded_forks, monkeypatch):
+        grid = tiny_grid(shifts=(0.5, 1.0, 1.5))  # four cells
+        run_grid(grid, 1, master_seed=15, n_workers=4)
+        assert len(recorded_forks) == 1
+        use_cpus(monkeypatch, 1)
+        run_grid(grid, 1, master_seed=15, n_workers=4)
+        monkeypatch.delattr(power.os, "sched_getaffinity")
+        run_grid(grid, 1, master_seed=15, n_workers=4)
+        assert len(recorded_forks) == 1
 
     @pytest.mark.parametrize("n_workers", [1.5, True, "2"])
-    def test_refused_worker_counts(self, recorded_pools, n_workers):
+    def test_refused_worker_counts(self, recorded_forks, n_workers):
         with pytest.raises(ValidationError, match="n_workers must be an integer"):
             run_grid(tiny_grid(), 1, master_seed=15, n_workers=n_workers)
-        assert recorded_pools == []
+        assert recorded_forks == []
 
-    def test_one_worker_runs_in_process(self, recorded_pools):
+    def test_one_worker_forks_nothing(self, recorded_forks):
         run_grid(tiny_grid(), 1, master_seed=15, n_workers=1)
         run_grid(tiny_grid(shifts=()), 1, master_seed=15, n_workers=4)  # one cell
-        assert recorded_pools == []
+        assert recorded_forks == []
 
-    def test_aborted_cell_raises_the_same_error_through_the_pool(self):
+    def test_aborted_cell_raises_the_serial_error(self, monkeypatch):
         # an absurd sigma_eps makes every replication fail rejection sampling
+        use_cpus(monkeypatch, 2)
         grid = tiny_grid(base_params=ModelParams(rho=0.3, sigma_eps=1e8))
         raised = []
         for n_workers in (1, 2):
@@ -320,12 +338,14 @@ class TestProcessPool:
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
         assert "replications errored" in raised[0][1]
+        assert_no_child()
 
-    def test_planted_failure_reaches_its_cell_through_the_pool(self, monkeypatch):
-        # the patch reaches the workers because they are forked after it
+    def test_planted_failure_reaches_its_cell_in_a_child(self, monkeypatch):
+        # the patch reaches the child because it is forked after it
+        use_cpus(monkeypatch, 2)
         grid = tiny_grid()
         keys = [cell_key(*item) for item in grid.cells()]
-        key = keys[1]
+        key = keys[1]  # the child's share
         planted = derive_seed(derive_seed(21, "power", key, 37), "bootstrap")
 
         def flaky_test(te, spatial, config, covariates):
@@ -334,8 +354,60 @@ class TestProcessPool:
             return SimpleNamespace(reject=config.seed % 3 == 0)
 
         monkeypatch.setattr(power, "test_constant_spatial", flaky_test)
-        serial, pooled = (run_grid(grid, 100, master_seed=21, n_workers=n) for n in (1, 2))
-        assert serial.csv_rows() == pooled.csv_rows()
-        for table in (serial, pooled):
+        serial, shared = (run_grid(grid, 100, master_seed=21, n_workers=n) for n in (1, 2))
+        assert serial.csv_rows() == shared.csv_rows()
+        for table in (serial, shared):
             failures = {cell_key(c.scenario, c.test_kind): c.n_failures for c in table.cells}
             assert failures == {k: int(k == key) for k in keys}
+
+    @pytest.mark.parametrize("planted, raised", [((1, 2), 1), ((2, 3), 2), ((0, 1), 0)])
+    def test_earliest_failing_cell_wins_across_shares(self, monkeypatch, planted, raised):
+        # on two processes this one runs cells 0 and 2, the child 1 and 3
+        use_cpus(monkeypatch, 2)
+        grid = tiny_grid(shifts=(0.5, 1.0, 1.5))
+        keys = [cell_key(*item) for item in grid.cells()]
+        run_cell = power.run_power_cell
+
+        def failing(scenario, kind, *args, **kwargs):
+            if keys.index(cell_key(scenario, kind)) in planted:
+                raise StfrontierError(f"planted in {cell_key(scenario, kind)}")
+            return run_cell(scenario, kind, *args, **kwargs)
+
+        monkeypatch.setattr(power, "run_power_cell", failing)
+        for n_workers in (1, 2):
+            with pytest.raises(StfrontierError, match=re.escape(f"planted in {keys[raised]}")):
+                run_grid(grid, 1, master_seed=15, n_workers=n_workers)
+        assert_no_child()
+
+    def test_no_fork_while_a_thread_runs(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        forks = []
+        forked = power.forked
+
+        def counted(work):
+            forks.append(work)
+            return forked(work)
+
+        monkeypatch.setattr(power, "forked", counted)
+        grid = tiny_grid(shifts=(0.5, 1.5))
+        alone = run_grid(grid, 2, master_seed=8, n_workers=2)
+        assert len(forks) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            threaded = run_grid(grid, 2, master_seed=8, n_workers=2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert len(forks) == 1 and not thread.is_alive()
+        assert threaded.csv_rows() == alone.csv_rows()
+
+    def test_no_child_left(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        run_grid(tiny_grid(), 1, master_seed=15, n_workers=2)
+        assert_no_child()
+        monkeypatch.setattr(power, "test_constant_spatial", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_grid(tiny_grid(), 1, master_seed=15, n_workers=2)
+        assert_no_child()
