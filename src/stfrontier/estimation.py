@@ -4,16 +4,21 @@ Three steps, run once (no outer loop):
 
 1. fit_frontier_gls: the inefficiency term is dropped and (beta, rho) are
    estimated jointly by iterated feasible GLS (Cochrane-Orcutt with
-   Prais-Winsten treatment of each unit's first observation). Residual
-   inefficiency estimates are u_hat_it = e_it - rho_hat * e_it-1 with the
-   pre-sample innovation e_i0 = 0.
+   Prais-Winsten treatment of each unit's first observation). The model is
+   additive in its AR(1) noise, so the quasi-differenced normal equations
+   are a quadratic in rho over cross-product moments formed once, and each
+   iteration solves a (P+1, P+1) system. Residual inefficiency estimates
+   are u_hat_it = e_it - rho_hat * e_it-1 with the pre-sample innovation
+   e_i0 = 0.
 2. fit_efficiency_glm: u* = -u_hat, clamped into [delta, 1-delta], is mapped
    through the logit and regressed on (w, z) without intercept.
 3. estimate_model: technical efficiency is scored as
    exp(-logistic(w gamma_hat + z phi_hat)).
 
-These two fits, and the AR and spatial-slice fits of the homogeneity tests,
-are solved by least_squares, which also judges whether a design is singular.
+The efficiency fit, and the AR and spatial-slice fits of the homogeneity
+tests, are solved by least_squares. One rank rule, _require_full_rank,
+judges whether a design is singular, from lstsq's singular values there and
+from those of the frontier design's R factor in fit_frontier_gls.
 
 The logit comes from frontier, which evaluates scipy.special.logit's formula
 through the C library. scipy itself is imported only to name the collinear
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, ValidationError
 from .frontier import inefficiency_mean, logit, technical_efficiency
 from .types import PanelDataset
 
@@ -52,24 +57,35 @@ CLAMP_FLAG_FRACTION = 0.2
 _MAX_CONDITION = 1e12
 
 
-def least_squares(
-    design: np.ndarray, response: np.ndarray, names: list[str], singular: str
-) -> np.ndarray:
-    """Coefficients of ``response`` on ``design`` from one lstsq call.
+def _require_full_rank(
+    design: np.ndarray, sv: np.ndarray, names: list[str], singular: str
+) -> None:
+    """Raise EstimationError unless ``design``, whose singular values are
+    ``sv`` in descending order, has full column rank.
 
-    The design is singular when lstsq's own rank is below the column count or
-    s_max/s_min exceeds _MAX_CONDITION. Only then does a pivoted QR order the
-    columns by independence; the EstimationError, whose text starts with
+    A singular value counts when it is above lstsq's default cut-off,
+    eps * max(design.shape) * s_max, and s_max/s_min is at most
+    _MAX_CONDITION. Only a singular design goes on to a pivoted QR, which
+    orders the columns by independence; the error, whose text starts with
     ``singular``, names the trailing ones.
     """
-    coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=None)
-    rank = min(rank, int(np.count_nonzero(sv * _MAX_CONDITION >= sv[0])))
+    cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
+    rank = int(np.count_nonzero((sv > cutoff) & (sv * _MAX_CONDITION >= sv[0])))
     if rank < design.shape[1]:
         import scipy.linalg
 
         _, _, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
         collinear = sorted(names[j] for j in pivots[rank:])
         raise EstimationError(f"{singular}; collinear columns: " + ", ".join(collinear))
+
+
+def least_squares(
+    design: np.ndarray, response: np.ndarray, names: list[str], singular: str
+) -> np.ndarray:
+    """Coefficients of ``response`` on ``design`` from one lstsq call, whose
+    singular values go through _require_full_rank."""
+    coef, _, _, sv = np.linalg.lstsq(design, response, rcond=None)
+    _require_full_rank(design, sv, names, singular)
     return coef
 
 
@@ -110,13 +126,23 @@ class EstimationResult:
         return self.clamp_fraction >= CLAMP_FLAG_FRACTION
 
 
-def _quasi_difference(arr: np.ndarray, rho: float) -> np.ndarray:
-    """Whiten AR(1) errors; the first observation is kept with weight
-    sqrt(1-rho^2) so short panels lose no rows."""
-    out = np.empty_like(arr)
-    out[:, 0] = np.sqrt(1.0 - rho**2) * arr[:, 0]
-    out[:, 1:] = arr[:, 1:] - rho * arr[:, :-1]
-    return out
+def _lag_moments(data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cross products of the rows of an (N, T, M) array, summed over units:
+    the Gram matrix over all periods, the first-period and the last-period
+    products, and the lag product sum_{t>=1} a_t' a_{t-1}.
+
+    The lag product is taken over the flat rows, less the N-1 pairs in which
+    one unit's first row follows the previous unit's last.
+    """
+    n, t, m = data.shape
+    flat = data.reshape(n * t, m)
+    first, last = data[:, 0], data[:, -1]
+    return (
+        flat.T @ flat,
+        first.T @ first,
+        last.T @ last,
+        flat[1:].T @ flat[:-1] - first[1:].T @ last[:-1],
+    )
 
 
 def fit_frontier_gls(panel: PanelDataset, *, rho_fixed: float | None = None) -> FrontierFit:
@@ -124,54 +150,93 @@ def fit_frontier_gls(panel: PanelDataset, *, rho_fixed: float | None = None) -> 
 
     Alternates pooled least squares on quasi-differenced data with a pooled
     lag regression of the residuals on themselves (no intercept) until the
-    largest coefficient change drops below _GLS_TOL. ``rho_fixed`` skips the
-    rho update (rho_fixed=0 reproduces pooled OLS exactly).
+    largest coefficient change drops below _GLS_TOL. ``rho_fixed``, finite
+    and inside (-1, 1), skips the rho update (rho_fixed=0 reproduces pooled
+    OLS).
+
+    Nothing is quasi-differenced. For one rho, QD(A)'QD(B) is
+    (1-rho^2) F + C00 - rho (C01 + C10) + rho^2 C11 in the moments of
+    _lag_moments, so each iteration is a (K, K) solve once they are formed.
+    They are formed on [Q, e]: the QR of [X, ln y] gives X = QR, whose
+    singular values are X's and so decide the rank check, and the residual
+    e of ln y on X. Q's columns are orthonormal and e is orthogonal to them,
+    so a product of the moments loses no more digits than a least-squares
+    solve on the quasi-differenced design; moments of the raw X would square its
+    condition number. Each residual y - X beta is [Q, e] v for a short v,
+    so rho and the variance rule are quadratic forms in v.
     """
-    n, t = panel.n_units, panel.n_periods
-    y = panel.log_output
-    design = np.concatenate(
-        [np.ones((n, t, 1)), panel.log_inputs], axis=2
-    )  # (N, T, P+1)
-    names = ["intercept"] + [f"x{k + 1}" for k in range(panel.n_inputs)]
-    coef = least_squares(
-        design.reshape(n * t, -1), y.ravel(), names, "frontier design matrix is rank deficient"
+    if rho_fixed is not None:
+        rho_fixed = float(rho_fixed)
+        if not abs(rho_fixed) < 1.0:
+            raise ValidationError(
+                f"rho_fixed must be finite and inside (-1, 1), got {rho_fixed!r}"
+            )
+    n, t, k = panel.n_units, panel.n_periods, panel.n_inputs + 1
+    data = np.empty((n, t, k + 1))  # intercept, ln x, ln y
+    data[..., 0] = 1.0
+    data[..., 1:k] = panel.log_inputs
+    data[..., k] = panel.log_output
+    flat = data.reshape(n * t, k + 1)
+    basis = np.linalg.qr(flat, mode="r")
+    names = ["intercept"] + [f"x{j}" for j in range(1, k)]
+    _require_full_rank(
+        flat[:, :k],
+        np.linalg.svd(basis[:k, :k], compute_uv=False),
+        names,
+        "frontier design matrix is rank deficient",
     )
+    # [X, ln y] = [Q, q] basis with e = basis[k, k] q, so a unit corner
+    # gives [X, ln y] = [Q, e] basis
+    basis[k, k] = 1.0
+    gram, first, last, lag = _lag_moments((flat @ np.linalg.inv(basis)).reshape(n, t, k + 1))
+    # C00 = gram - first and C11 = gram - last, so the moments at rho are
+    # gram - rho (C01 + C10) + rho^2 (C11 - first)
+    c11 = gram - last
+    pair = lag + lag.T
+    curvature = c11 - first
+    # X's first column is the intercept, so 1 = basis[0, 0] Q[:, 0]
+    total = basis[0, 0] * gram[0]
+
+    def coefficients(v):
+        # [X, ln y] (-beta, 1) = [Q, e] v
+        return -np.linalg.solve(basis, v)[:k]
+
+    v = np.eye(k + 1)[k]  # the OLS residual e
+    coef = coefficients(v)
     rho = 0.0
     converged = False
-    iterations = 0
     for iterations in range(1, _GLS_MAX_ITER + 1):
-        resid = y - design @ coef  # (N, T), raw-scale residuals
         if rho_fixed is not None:
-            rho_new = float(rho_fixed)
-        elif resid.var() < _DEGENERATE_VAR:
+            rho_new = rho_fixed
+        elif v @ gram @ v / (n * t) - (total @ v / (n * t)) ** 2 < _DEGENERATE_VAR:
             rho_new = 0.0
         else:
-            den = float((resid[:, :-1] ** 2).sum())
-            rho_new = float((resid[:, 1:] * resid[:, :-1]).sum() / den) if den > 0 else 0.0
+            den = float(v @ c11 @ v)
+            rho_new = float(v @ lag @ v / den) if den > 0 else 0.0
             if abs(rho_new) >= 1:
                 raise EstimationError(
                     f"explosive autocorrelation estimate rho_hat={rho_new:.6g}; "
                     "the noise process looks nonstationary"
                 )
-        y_star = _quasi_difference(y, rho_new)
-        x_star = _quasi_difference(design, rho_new)
-        coef_new, *_ = np.linalg.lstsq(x_star.reshape(n * t, -1), y_star.ravel(), rcond=None)
+        moments = gram - rho_new * pair + rho_new**2 * curvature
+        v = np.append(-np.linalg.solve(moments[:k, :k], moments[:k, k]), 1.0)
+        coef_new = coefficients(v)
         delta = max(np.abs(coef_new - coef).max(), abs(rho_new - rho))
         coef, rho = coef_new, rho_new
         if delta < _GLS_TOL:
             converged = True
             break
 
-    innovations = y - design @ coef
-    lagged = np.zeros_like(innovations)
-    lagged[:, 1:] = innovations[:, :-1]
-    residuals_u = innovations - rho * lagged
+    innovations = panel.log_output - data[..., :k] @ coef
+    lagged_innovations = np.zeros_like(innovations)
+    lagged_innovations[:, 1:] = innovations[:, :-1]
+    residuals_u = innovations - rho * lagged_innovations
     return FrontierFit(
         beta0_hat=float(coef[0]),
         beta_hat=tuple(float(c) for c in coef[1:]),
         rho_hat=rho,
         residuals_u=residuals_u,
-        lagged_innovations=lagged,
+        lagged_innovations=lagged_innovations,
         iterations=iterations,
         converged=converged,
     )

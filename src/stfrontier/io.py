@@ -43,7 +43,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import os
 import re
 import shutil
@@ -60,7 +59,6 @@ from . import __version__
 from .assumption_tests import TestReport
 from .errors import DataError, ValidationError
 from .estimation import EstimationResult
-from .frontier import elementwise
 from .power import GridSpec, PowerTable, default_power_params, fork_width, forked as _forked
 from .types import ModelParams, PanelDataset, Scenario, as_count
 
@@ -342,11 +340,14 @@ def _write_long_csv(
     starts = range(0, n, block_units)
 
     def write_blocks(sink, block_starts):
+        # one row matrix and mask serve every block; a short last block uses
+        # their leading rows
+        row_buffer = np.empty((min(block_units, n), t, width), np.uint8)
+        keep_buffer = np.empty(row_buffer.shape, bool)
         for start in block_starts:
             stop = min(start + block_units, n)
             block = np.stack([column[start:stop] for column in values], axis=-1)
-            rows = np.empty((stop - start, t, width), np.uint8)
-            keep = np.empty(rows.shape, bool)
+            rows, keep = row_buffer[: stop - start], keep_buffer[: stop - start]
             for out, unit, period, slots in zip(
                 (rows, keep), units, periods, _format_floats(block)
             ):
@@ -858,7 +859,8 @@ def _read_long_csv(path: str, what: str, read_header, row_checks, duplicate):
 
 
 def read_panel_csv(path: str) -> PanelDataset:
-    """Parse and validate a long-format panel CSV; y is converted to ln y.
+    """Parse and validate a long-format panel CSV; y and the inputs are
+    converted to logs by one np.log over their columns.
 
     Units and periods keep the order in which they first appear; the rows
     may come in any order.
@@ -889,9 +891,10 @@ def read_panel_csv(path: str) -> PanelDataset:
         row_checks,
         lambda unit, period: f"duplicate cell (unit {unit}, period {period})",
     )
+    logs = np.log(table[..., : 1 + p])
     return PanelDataset(
-        log_output=elementwise(math.log, table[..., 0]),
-        log_inputs=np.log(table[..., 1 : 1 + p]),
+        log_output=logs[..., 0],
+        log_inputs=logs[..., 1:],
         spatial=table[..., 1 + p : 1 + p + q],
         covariates=table[..., 1 + p + q :],
         unit_ids=units,

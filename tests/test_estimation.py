@@ -10,6 +10,7 @@ from stfrontier import (
     ModelParams,
     PanelDataset,
     Scenario,
+    ValidationError,
     estimate_model,
     fit_efficiency_glm,
     fit_frontier_gls,
@@ -22,6 +23,57 @@ from stfrontier.rng import derive_seed
 
 def default_panel(n=40, t=20, seed=21):
     return simulate_panel(Scenario(n_units=n, n_periods=t, seed=seed))
+
+
+def quasi_difference(arr, rho):
+    """Prais-Winsten whitening of AR(1) rows: the first period is scaled by
+    sqrt(1-rho^2), each later one has rho times its predecessor removed."""
+    out = np.empty_like(arr)
+    out[:, 0] = np.sqrt(1.0 - rho**2) * arr[:, 0]
+    out[:, 1:] = arr[:, 1:] - rho * arr[:, :-1]
+    return out
+
+
+def quasi_difference_gls(panel):
+    """The reference iterated GLS: every iteration quasi-differences the
+    design and solves it with lstsq, with fit_frontier_gls's rules and
+    constants. Returns (coefficients, rho, iterations, converged)."""
+    n, t = panel.n_units, panel.n_periods
+    y = panel.log_output
+    design = np.concatenate([np.ones((n, t, 1)), panel.log_inputs], axis=2)
+    coef = np.linalg.lstsq(design.reshape(n * t, -1), y.ravel(), rcond=None)[0]
+    rho = 0.0
+    for iterations in range(1, estimation._GLS_MAX_ITER + 1):
+        resid = y - design @ coef
+        if resid.var() < estimation._DEGENERATE_VAR:
+            rho_new = 0.0
+        else:
+            den = float((resid[:, :-1] ** 2).sum())
+            rho_new = float((resid[:, 1:] * resid[:, :-1]).sum() / den) if den > 0 else 0.0
+        coef_new = np.linalg.lstsq(
+            quasi_difference(design, rho_new).reshape(n * t, -1),
+            quasi_difference(y, rho_new).ravel(),
+            rcond=None,
+        )[0]
+        delta = max(np.abs(coef_new - coef).max(), abs(rho_new - rho))
+        coef, rho = coef_new, rho_new
+        if delta < estimation._GLS_TOL:
+            return coef, rho, iterations, True
+    return coef, rho, iterations, False
+
+
+def near_collinear_panel(spread, n=60, t=12, seed=7):
+    """A panel whose log inputs sit around 5, with x2 - x1 of sd ``spread``:
+    the design's condition number grows as 1/spread."""
+    rng = np.random.default_rng(seed)
+    x1 = 5.0 + rng.normal(size=(n, t))
+    x2 = x1 + spread * rng.normal(size=(n, t))
+    return PanelDataset(
+        log_output=1.0 + 0.5 * x1 + 0.3 * x2 + 0.3 * rng.normal(size=(n, t)),
+        log_inputs=np.stack([x1, x2], axis=2),
+        spatial=rng.normal(size=(n, t, 1)),
+        covariates=rng.normal(size=(n, t, 1)),
+    )
 
 
 class TestFrontierGLS:
@@ -94,6 +146,83 @@ class TestFrontierGLS:
         )
         with pytest.raises(EstimationError, match=r"rank deficient.*x"):
             fit_frontier_gls(panel)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, -7.0, np.nan, np.inf, -np.inf])
+    def test_rho_fixed_outside_the_unit_interval_refused(self, rho, capfd):
+        # refused before any work: the collinear design would otherwise raise
+        # EstimationError, and LAPACK would print nothing to the streams
+        x1 = np.random.default_rng(4).normal(size=(6, 8, 1))
+        panel = replace(default_panel(n=6, t=8)[0], log_inputs=np.concatenate([x1, x1], axis=2))
+        refused = r"^rho_fixed must be finite and inside \(-1, 1\)"
+        with pytest.raises(ValidationError, match=refused):
+            fit_frontier_gls(panel, rho_fixed=rho)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("rho", [-0.99, -0.4, 0.4, 0.99])
+    def test_rho_fixed_inside_the_unit_interval_is_kept(self, rho):
+        fit = fit_frontier_gls(default_panel()[0], rho_fixed=rho)
+        assert fit.rho_hat == rho and fit.converged
+
+    @pytest.mark.parametrize("digits", range(1, 10))
+    def test_ill_conditioned_design_matches_quasi_difference_lstsq(self, digits):
+        # cond(X) from about 1e2 to 1e10; the moment solve works in the
+        # orthogonal basis of X, so it keeps the digits lstsq keeps
+        panel = near_collinear_panel(10.0**-digits)
+        design = np.concatenate([np.ones((60, 12, 1)), panel.log_inputs], axis=2)
+        cond = np.linalg.cond(design.reshape(-1, 3))
+        assert 10 ** (digits + 0.5) < cond < 10 ** (digits + 1.5)
+        reference = np.linalg.lstsq(
+            quasi_difference(design, 0.4).reshape(-1, 3),
+            quasi_difference(panel.log_output, 0.4).ravel(),
+            rcond=None,
+        )[0]
+        fit = fit_frontier_gls(panel, rho_fixed=0.4)
+        gap = np.abs(np.array([fit.beta0_hat, *fit.beta_hat]) - reference).max()
+        assert gap <= 1e-14 * cond * np.abs(reference).max()
+
+    @pytest.mark.parametrize(
+        "n, x2, collinear",
+        [
+            (30, lambda x1: x1 + 1.0, "x1"),
+            (30, lambda x1: 2.0 * x1, "x1"),
+            # cond(X) about 1.3e13: singular by the 1e12 rule, though lstsq's
+            # own cut-off, eps * 240 rows, would count its rank as full
+            (30, lambda x1: x1 + 3e-12 * np.cos(x1), "x1"),
+            # cond(X) about 1.9e11: singular by lstsq's cut-off, eps * 60000
+            # rows, though under the 1e12 rule
+            (1000, lambda x1: x1 + 2e-10 * np.cos(x1), "x1"),
+        ],
+    )
+    def test_singular_design_names_its_columns(self, n, x2, collinear):
+        t = 8 if n < 1000 else 60
+        x1 = 5.0 + np.random.default_rng(5).normal(size=(n, t))
+        panel = replace(default_panel(n=n, t=t)[0], log_inputs=np.stack([x1, x2(x1)], axis=2))
+        with pytest.raises(EstimationError) as err:
+            fit_frontier_gls(panel)
+        assert str(err.value) == (
+            f"frontier design matrix is rank deficient; collinear columns: {collinear}"
+        )
+
+    @pytest.mark.parametrize(
+        "n, t, sigma_psi",
+        [(50, 12, None), (200, 60, None), (2000, 60, None), (200, 60, 1e-5)],
+    )
+    def test_moment_solve_matches_quasi_difference_gls(self, n, t, sigma_psi):
+        # the low-noise panel fits to residuals 1e-5 the size of ln y: rho
+        # must still come out to rounding
+        base = ModelParams() if sigma_psi is None else ModelParams(
+            sigma_psi=sigma_psi, sigma_eps=0.0, gamma=(0.0,), phi=(0.0,)
+        )
+        for seed in range(3 if n < 2000 else 1):
+            scenario = Scenario(
+                n_units=n, n_periods=t, base_params=base, seed=derive_seed(88, "gls", seed)
+            )
+            panel = simulate_panel(scenario)[0]
+            coef, rho, iterations, converged = quasi_difference_gls(panel)
+            fit = fit_frontier_gls(panel)
+            assert (fit.iterations, fit.converged) == (iterations, converged)
+            assert np.abs(np.array([fit.beta0_hat, *fit.beta_hat]) - coef).max() <= 1e-12
+            assert abs(fit.rho_hat - rho) <= 1e-12
 
     def test_residual_identities(self):
         panel, *_ = default_panel()

@@ -39,6 +39,8 @@ from stfrontier.io import (
 )
 from stfrontier.types import as_count
 
+from reports import assert_reports_close
+
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -227,15 +229,15 @@ def oracle_read_panel_csv(path):
                         f"row {lineno}: input x{j} must be positive to take logs, "
                         f"got {x_val!r}"
                     )
-            values[0] = math.log(values[0])
             if not cells.add(unit, period, values):
                 raise DataError(f"row {lineno}: duplicate cell (unit {unit}, period {period})")
     if header is None:
         raise DataError(f"{path}: no header row found")
     table = cells.grid("panel")
+    logs = np.log(table[..., : 1 + p])
     return PanelDataset(
-        log_output=table[..., 0],
-        log_inputs=np.log(table[..., 1 : 1 + p]),
+        log_output=logs[..., 0],
+        log_inputs=logs[..., 1:],
         spatial=table[..., 1 + p : 1 + p + q],
         covariates=table[..., 1 + p + q :],
         unit_ids=tuple(cells.units),
@@ -414,7 +416,8 @@ class TestReaderMatchesRowLoop:
         assert result[1].shape == (7, 6, 3)
 
     def test_large_panel(self, tmp_path, read_blocks):
-        # enough values for np.log and math.log to differ in the last bit
+        # enough values for np.log and math.log to differ in the last bit, so
+        # a reader that took ln y with math.log would not match the oracle
         panel = simulate_panel(Scenario(n_units=300, n_periods=20, seed=3))[0]
         target = tmp_path / "panel.csv"
         write_panel_csv(panel, str(target))
@@ -559,7 +562,7 @@ class TestReaderSyntax:
         write_rows(target, ["a,1,1.0,1.0,0.1,0.2", f"a,2,{number},1.0,0.1,0.2",
                             "a,3,1.0,1.0,0.1,0.2", "b,1,1.0,1.0,0.1,0.2",
                             "b,2,1.0,1.0,0.1,0.2", "b,3,1.0,1.0,0.1,0.2"])
-        assert oracle_read_panel_csv(str(target)).log_output[0, 1] == math.log(float(number))
+        assert oracle_read_panel_csv(str(target)).log_output[0, 1] == np.log(float(number))
         with pytest.raises(
             DataError,
             match=f"row 3: malformed number: could not convert string to float: '{number}'",
@@ -1384,20 +1387,75 @@ class TestCli:
 
 
 # sha256 of each artifact of test_output_bytes_are_pinned, recorded when the
-# power grid still ran on a process pool
+# power grid still ran on a process pool. The estimate and test outputs were
+# recorded again when the frontier came to be solved from moments and ln y
+# from np.log (ledger D17); s2.json reads te.csv, so it moved with it.
 PINNED_SHA256 = {
-    "e.json": "86c6fac61865f545d27f800a0ba899aa34b910182888dcf89a0c26c10524b181",
+    "e.json": "bf1da5dbf547554aed2c0488d7a1940c60443871ea4660e87869fab532fe8782",
     "grid1.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
     "grid2.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
     "p.csv": "2cbb7155659b96d200c27f270c8bf901e5e713ebc5c789648a100e9e10555879",
     "pw.csv": "69d8ae34aee4249ecee85ee7c4e2cf0858af86947dcf99b911e4623ff1e4e26b",
-    "s1.json": "c37214721c378c8dd6c51f6fa4311507e25e0d283e4de42bef4e85de537e1a02",
-    "s2.json": "f86b589e6211a5388115744854537653507a465e47bb2a3bdd196a72abe1e2ba",
+    "s1.json": "df762dc291fd9bbc4f14ecf71605efafcafb51f43ae996aac9774a3fb83342ea",
+    "s2.json": "d607a80a001b9bf82578926ad6fe44668a3254d407737aae238e0b0cf2bc8958",
     "split.csv": "ad35f9188575b4915bc2e1695a702f768accc8d4f64123b88f89a6e988b985ec",
-    "t1.json": "5d043fc03bbfdf3745961c0bec66e9759c8dd7c0ff8dcf3a022efdf2ce0259af",
-    "t2.json": "e49607d1f1da1e2bf3082b919e523ad5fc29962b16e19bf950c15e63fedc4be3",
-    "te.csv": "5e57ace551fbdc546e4e04cc4b2aaaca98017dc578308d03e023a2a1940b4b21",
+    "t1.json": "a12d36bdc6fa0f4b2d537c25c3a6bb344e220ea02fc48cd7b1eba548a483799a",
+    "t2.json": "3877853443e08f24d5ef14c786df19653b99dcd0bfd824149e68360e2bb6bce4",
+    "te.csv": "17fcc253521eb8dce745e93341e0999a59d0098067070b2ef9afe5cfb2915406",
 }
+
+# e.json of test_output_bytes_are_pinned as the quasi-difference GLS and
+# math.log wrote it, before ledger D17
+QUASI_DIFFERENCE_E_JSON = {
+    "meta": {
+        "version": "0.1.0",
+        "command": "estimate --panel p.csv --out e.json --te-out te.csv",
+        "seed": 0,
+    },
+    "beta0_hat": 0.021049680511452198,
+    "beta_hat": [0.28184872487010965, 0.20233413627679722],
+    "rho_hat": 0.4717655641243933,
+    "gamma_hat": [1.727135143404786],
+    "phi_hat": [3.9063010805971445],
+    "iterations": 6,
+    "converged": True,
+    "clamp_count": 62,
+    "clamp_fraction": 0.5166666666666667,
+    "clamp_flagged": True,
+}
+
+
+def test_estimate_report_moves_by_rounding_only(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"n_units": 12, "n_periods": 10, "seed": 4}))
+    for argv in (
+        "simulate --scenario s.json --out p.csv",
+        "estimate --panel p.csv --out e.json --te-out te.csv",
+    ):
+        assert parse_and_dispatch(argv.split()) == 0
+    report = json.loads((tmp_path / "e.json").read_text())
+    assert_reports_close(QUASI_DIFFERENCE_E_JSON, report, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "new, close",
+    [
+        ({"a": 1.0 + 5e-14, "b": [2, True, "x"]}, True),
+        ({"a": 1.0 + 2e-13, "b": [2, True, "x"]}, False),
+        ({"a": 1.0, "b": [3, True, "x"]}, False),
+        ({"a": 1.0, "b": [2, False, "x"]}, False),
+        ({"a": 1.0, "b": [2.0, True, "x"]}, False),
+        ({"a": 1.0, "b": [2, True]}, False),
+        ({"b": [2, True, "x"], "a": 1.0}, False),
+    ],
+)
+def test_assert_reports_close(new, close):
+    old = {"a": 1.0, "b": [2, True, "x"]}
+    if close:
+        assert_reports_close(old, new, rtol=1e-13)
+    else:
+        with pytest.raises(AssertionError):
+            assert_reports_close(old, new, rtol=1e-13)
 
 
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
