@@ -12,16 +12,18 @@ alpha under the null.
 
 test_constant_temporal: are the units' autocorrelation coefficients equal?
 All units' series (frontier residuals by default) are fit an AR(p) in one
-pass: their lag designs are stacked, checked as row masks, and solved by one
-least-squares call per row, so each fit equals a fit to that series alone.
-Each unit's AR-sieve bootstrap (Buehlmann 1997) then runs with the
-highest-lag coefficient set to the cross-unit mean, so the resamples obey the
-null, and rebuilds k series from the unit's centered fit residuals; each is
-refit. The sieves of all units run as one recursion over N*k series: one
-generator draws their innovation indices as a single block, the lagged values
-rotate through a ring of arrays, and the refit's normal equations are summed
-while the recursion runs, so no sieve series is stored. Forward elimination
-of the N*k symmetric systems gives the refit coefficients. Each unit's
+pass: their lag designs are stacked, checked as row masks, and factored by
+one batched SVD, so each fit equals a fit to that series alone. Each unit's
+AR-sieve bootstrap (Buehlmann 1997) then runs with the highest-lag
+coefficient set to the cross-unit mean, so the resamples obey the null, and
+rebuilds k series from the unit's centered fit residuals; each is refit. The
+sieves of all units run as one recursion over N*k series: one generator
+draws their innovation indices as a single block, the lagged values rotate
+through a ring of arrays, and the refit's normal equations are summed while
+the recursion runs, so no sieve series is stored. Forward elimination of the
+N*k symmetric systems gives the refit coefficients. Within a reused_buffers
+block, as around a power cell's replications, the recursion's (N, k) arrays
+are allocated once and reused by every call of the same shape. Each unit's
 deviation is studentised by its own bootstrap standard deviation. The null
 is rejected when at least one unit's interval excludes the cross-unit mean
 of the original estimates.
@@ -40,12 +42,14 @@ of the period intervals exclude the cross-period mean, so c comes from the
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BootstrapError, EstimationError, ValidationError
-from .estimation import fit_frontier_gls, least_squares
+from .estimation import _rank, _require_full_rank, fit_frontier_gls, least_squares
 from .frontier import TE_LOWER, te_to_logit
 from .rng import check_seed, substream
 from .types import PanelDataset, as_count
@@ -66,6 +70,9 @@ _INTERVAL_RTOL = 1e-9
 
 SERIES_SOURCES = ("frontier_residuals", "log_output")
 
+#: The sieve buffer set of this thread's innermost reused_buffers block.
+_held = threading.local()
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -81,10 +88,7 @@ class TestConfig:
 
     def __post_init__(self):
         for name, least in (("ar_order_p", 1), ("n_boot_k", 100)):
-            value = as_count(getattr(self, name), name)
-            if value < least:
-                raise ValidationError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
         alpha = float(self.alpha)
         if not 0.0 < alpha < 0.5:
             raise ValidationError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -161,17 +165,17 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]
     """Conditional least-squares AR(p) fits, with intercept, of every row of
     an (N, T) array.
 
-    The rows' lag designs are stacked as one (N, T-p, p+1) array, and the
-    finite and variance checks run as row masks. Each row is then one
-    estimation.least_squares call, so its coefficients are those of a fit to
-    that row alone. Returns the N fits and None, or no fits and
-    (row, error) for the first row, in row order, that fails: non-finite
-    values raise ValidationError, a flat series or a singular lag design
-    EstimationError.
+    p is a count >= 1, checked as TestConfig.ar_order_p is. The rows' lag
+    designs are stacked as one (N, T-p, p+1) array, and the finite and
+    variance checks run as row masks. One np.linalg.svd call factors every
+    design; estimation's rank rule runs on the singular values as a row
+    mask, and each row's coefficients come from its own factors, so they
+    are those of a fit to that row alone. Returns the N fits and None, or no
+    fits and (row, error) for the first row, in row order, that fails:
+    non-finite values raise ValidationError, a flat series or a singular lag
+    design EstimationError, the latter naming the collinear columns.
     """
-    if int(p) < 1:
-        raise ValidationError(f"AR order must be >= 1, got {p}")
-    p = int(p)
+    p = as_count(p, "ar_order_p", least=1)
     n, t = series.shape
     check_ar_length(p, t)
     finite = np.isfinite(series).all(axis=1)
@@ -180,22 +184,23 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]
     bad = ~finite | flat
     first_bad = int(np.argmax(bad)) if bad.any() else n
 
-    design = np.empty((n, t - p, p + 1))
+    # rows from the first bad one on are never fit
+    design = np.empty((first_bad, t - p, p + 1))
     design[..., 0] = 1.0
     for j in range(1, p + 1):
-        design[..., j] = series[:, p - j : t - j]
-    target = series[:, p:]
-    names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
-    coeffs = np.empty((n, p + 1))
-    resid = np.empty_like(target)
-    for i in range(first_bad):
+        design[..., j] = series[:first_bad, p - j : t - j]
+    target = series[:first_bad, p:]
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    singular = np.flatnonzero(_rank(sv, design.shape[1:]) < p + 1)
+    if singular.size:
+        row = int(singular[0])
+        names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
         try:
-            coeffs[i] = least_squares(
-                design[i], target[i], names, f"near-singular lag matrix for AR({p})"
+            _require_full_rank(
+                design[row], sv[row], names, f"near-singular lag matrix for AR({p})"
             )
         except EstimationError as err:
-            return [], (i, err)
-        resid[i] = target[i] - design[i] @ coeffs[i]
+            return [], (row, err)
     if first_bad < n:
         if not finite[first_bad]:
             err = ValidationError("series contains non-finite values")
@@ -203,6 +208,8 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]
             err = EstimationError("zero-variance series: no autocorrelation to estimate")
         return [], (first_bad, err)
 
+    coeffs = np.einsum("nji,nj->ni", vt, np.einsum("nmj,nm->nj", u, target) / sv)
+    resid = target - np.einsum("nmi,ni->nm", design, coeffs)
     centered = resid - resid.mean(axis=1, keepdims=True)
     mse = (resid**2).sum(axis=1) / (t - p - (p + 1))
     return [
@@ -263,6 +270,50 @@ def _stabilized(fit: ARFit) -> ARFit:
     )
 
 
+@contextmanager
+def reused_buffers():
+    """Keep the temporal sieve's (N, k) working arrays on this thread while
+    the block runs.
+
+    Inside the block _sieve_refit takes them from one set, keyed by
+    (N, k, p), which its first call allocates and later calls with the same
+    key reuse; a call with another key replaces the set. Outside any block
+    each call allocates its own. On exit the enclosing block's set, if any,
+    is restored. Without the block, malloc can hand a freed set's pages back
+    to the system after each replication, and the next one faults them in
+    again (ledger D18 in CHANGES.md).
+    """
+    outer = getattr(_held, "buffers", None)
+    _held.buffers = {}
+    try:
+        yield
+    finally:
+        _held.buffers = outer
+
+
+def _sieve_buffers(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_sieve_refit's working arrays: a float block and a (2, n, k) intp one.
+
+    With q = p+1, the float block holds, in order: the p lag coefficients,
+    the ring's q lagged values, one product, p(p-1)/2 extra scratch arrays,
+    and the normal equations' sums, q(q+1)/2 - 1 entries of X'X and q of
+    X'y. The elimination takes a factor, a product and the first updates of
+    the rows below the first, q(q-1)/2 + q + 1 arrays in all, which is the
+    2q the recursion leaves free plus the extra ones.
+    """
+    held = getattr(_held, "buffers", None)
+    if held is not None and (n, k, p) in held:
+        return held[n, k, p]
+    q = p + 1
+    n_floats = p + q + 1 + p * (p - 1) // 2 + q * (q + 1) // 2 - 1 + q
+    if held:
+        held.clear()  # before the new set is allocated
+    buffers = np.empty((n_floats, n, k)), np.empty((2, n, k), dtype=np.intp)
+    if held is not None:
+        held[n, k, p] = buffers
+    return buffers
+
+
 def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     """Highest-lag AR(p) coefficient refit to every sieve series, shape (units, k).
 
@@ -278,31 +329,37 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     y_{t-p}). The normal equations are summed while the recursion runs, one
     row per step in time order, which is the order in which an einsum over
     the stored series sums them; so the emitted series are never kept.
-    _last_coefficient then solves all N*k systems at once.
+    _last_coefficient then solves all N*k systems at once from their upper
+    triangles, eliminating into the arrays the recursion leaves free. Every
+    (units, k) array but the result comes from _sieve_buffers, and every op
+    writes into one with out=, so inside reused_buffers a replication
+    allocates only the index block and the result.
     """
     p = fits[0].order
     q = p + 1
-    steps, _, k = idx.shape
+    steps, n, k = idx.shape
     first = SIEVE_BURN_IN + p  # the step that emits y_p, the first target
-    shape = (len(fits), k)
+    # the upper triangle of X'X but its (0, 0) entry, the row count, and X'y,
+    # each entry one contiguous (units, k) array
+    pairs = [(c, d) for c in range(q) for d in range(max(c, 1), q)]
+    n_sums = len(pairs) + q
+    floats, (offsets, position) = _sieve_buffers(n, k, p)
+    lag, ring, product = floats[:p], list(floats[p : p + q]), floats[p + q]
+    extra = list(floats[p + q + 1 : -n_sums])
+    sums = floats[-n_sums:]
+    sums.fill(0.0)
+    xtx = dict(zip(pairs, sums))
+    xty = sums[len(pairs) :]
     table = np.concatenate([fit.coeffs[0] + fit.centered_residuals for fit in fits])
     # per-unit constants spread over the k series: a broadcast operand would
     # make every step's passes slower
-    offsets = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])
-    offsets = np.broadcast_to(offsets[:, None], shape).astype(np.intp)
-    lag = [np.broadcast_to(np.array([fit.coeffs[j] for fit in fits])[:, None], shape).copy()
-           for j in range(1, q)]
+    offsets[:] = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])[:, None]
+    for j in range(p):
+        lag[j][:] = np.array([fit.coeffs[j + 1] for fit in fits])[:, None]
     # ring[j] holds y_{t-1-j}; the spare array receives the next value
-    ring = [np.empty(shape) for _ in range(q)]
     for j in range(p):
         ring[j][:] = np.array([fit.series_head[p - 1 - j] for fit in fits])[:, None]
     spare = ring.pop()
-    position = np.empty(shape, dtype=np.intp)
-    product = np.empty(shape)
-    # the upper triangle of X'X but its (0, 0) entry, the row count, and X'y,
-    # each entry one contiguous (units, k) array
-    xtx = {(c, d): np.zeros(shape) for c in range(q) for d in range(max(c, 1), q)}
-    xty = np.zeros((q,) + shape)
     for step, step_idx in enumerate(idx):
         # every position is in range by construction; "clip" only spares take
         # the buffered copy that mode="raise" makes into ``out``
@@ -318,47 +375,59 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
                 xty[c] += np.multiply(row[c], new, out=product)
         spare = ring.pop()
         ring.insert(0, new)
-    # frees the indices before the systems are built when the caller keeps
+    # frees the indices before the systems are solved when the caller keeps
     # no reference
     del idx, step_idx
-    a = np.empty((q, q) + shape)
-    a[0, 0] = steps - first
-    for (c, d), total in xtx.items():
-        a[c, d] = a[d, c] = total
-    return _last_coefficient(a, xty)
+    xtx[0, 0] = np.broadcast_to(float(steps - first), (n, k))
+    return _last_coefficient(xtx, xty, [*ring, spare, *lag, product, *extra])
 
 
-def _last_coefficient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _last_coefficient(a, b, scratch=()) -> np.ndarray:
     """Last entry of x in each symmetric system a x = b, stacked with the
-    matrix axes first: a (q, q, ...) and b (q, ...); returns shape a.shape[2:].
+    matrix axes first: a[r, c], for r <= c, and b[r] are arrays of the shape
+    that the result takes. a is a (q, q, ...) array, or a mapping that holds
+    its upper triangle, and b a (q, ...) array.
 
     Forward elimination without pivoting, on the upper triangle only, since
     every Schur complement of a symmetric matrix is symmetric; the last
     coefficient is then the last right-hand side over the last pivot. Normal
-    equations are positive semi-definite, so this needs no pivoting. A system
-    with a pivot that is not positive, or a result that is not finite, is
-    solved by np.linalg.lstsq instead, which gives the minimum-norm solution
+    equations are positive semi-definite, so this needs no pivoting. Rows
+    below the first are written into the arrays of ``scratch``, and into new
+    ones once those run out, so a and b stay intact. A system with a pivot
+    that is not positive, or a result that is not finite, is solved from
+    them by np.linalg.lstsq instead, which gives the minimum-norm solution
     of a singular system.
     """
-    q = a.shape[0]
+    q = len(b)
+    shape = b[0].shape
+    spare = list(scratch)
+
+    def take():
+        return spare.pop() if spare else np.empty(shape)
+
     upper = {(r, c): a[r, c] for r in range(q) for c in range(r, q)}
     rhs = list(b)
-    solved = np.ones(a.shape[2:], dtype=bool)
+    solved = np.ones(shape, dtype=bool)
+    factor, product = take(), take()
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(q - 1):
             pivot = upper[j, j]
             solved &= pivot > 0
             for r in range(j + 1, q):
-                factor = upper[j, r] / pivot
+                np.divide(upper[j, r], pivot, out=factor)
+                # a row moves into scratch on its first update, at j = 0
                 for c in range(r, q):
-                    upper[r, c] = upper[r, c] - factor * upper[j, c]
-                rhs[r] = rhs[r] - factor * rhs[j]
+                    out = take() if j == 0 else upper[r, c]
+                    np.multiply(factor, upper[j, c], out=product)
+                    upper[r, c] = np.subtract(upper[r, c], product, out=out)
+                out = take() if j == 0 else rhs[r]
+                rhs[r] = np.subtract(rhs[r], np.multiply(factor, rhs[j], out=product), out=out)
         solved &= upper[q - 1, q - 1] > 0
         last = rhs[-1] / upper[q - 1, q - 1]
         solved &= np.isfinite(last)
     for i in map(tuple, np.argwhere(~solved)):
-        system = (slice(None), slice(None), *i)
-        last[i] = np.linalg.lstsq(a[system], b[system[1:]], rcond=None)[0][-1]
+        system = [[a[min(r, c), max(r, c)][i] for c in range(q)] for r in range(q)]
+        last[i] = np.linalg.lstsq(np.array(system), b[(slice(None), *i)], rcond=None)[0][-1]
     return last
 
 

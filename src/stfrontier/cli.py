@@ -147,8 +147,8 @@ def _te_for_panel(path: str, panel) -> np.ndarray:
 
 
 def _cmd_test(kind: str, args, argv) -> int:
-    panel = io.read_panel_csv(args.panel)
     seed = _effective_seed(args.seed)
+    # the settings are checked before the panel is read
     config = TestConfig(
         ar_order_p=args.ar_order,
         n_boot_k=args.boot_k,
@@ -156,6 +156,7 @@ def _cmd_test(kind: str, args, argv) -> int:
         series_source=args.series_source.replace("-", "_"),
         seed=seed,
     )
+    panel = io.read_panel_csv(args.panel)
     if kind == "temporal":
         report = test_constant_temporal(panel, config)
     else:

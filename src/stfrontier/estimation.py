@@ -15,10 +15,12 @@ Three steps, run once (no outer loop):
 3. estimate_model: technical efficiency is scored as
    exp(-logistic(w gamma_hat + z phi_hat)).
 
-The efficiency fit, and the AR and spatial-slice fits of the homogeneity
-tests, are solved by least_squares. One rank rule, _require_full_rank,
-judges whether a design is singular, from lstsq's singular values there and
-from those of the frontier design's R factor in fit_frontier_gls.
+The efficiency fit and the spatial-slice fits of the homogeneity tests are
+solved by least_squares. One rank rule, _rank, judges whether a design is
+singular: from lstsq's singular values there, from those of the frontier
+design's R factor in fit_frontier_gls, and from one batched SVD of the
+temporal test's AR lag designs. _require_full_rank names the collinear
+columns of a design that fails it.
 
 The logit comes from frontier, which evaluates scipy.special.logit's formula
 through the C library. scipy itself is imported only to name the collinear
@@ -57,20 +59,30 @@ CLAMP_FLAG_FRACTION = 0.2
 _MAX_CONDITION = 1e12
 
 
+def _rank(sv: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Numerical rank of designs of ``shape`` whose singular values, in
+    descending order, run along the last axis of ``sv``; the leading axes,
+    if any, stack designs.
+
+    A singular value counts when it is above lstsq's default cut-off,
+    eps * max(shape) * s_max, and s_max/s_min is at most _MAX_CONDITION.
+    """
+    s_max = sv[..., :1]
+    cutoff = np.finfo(float).eps * max(shape) * s_max
+    return np.count_nonzero((sv > cutoff) & (sv * _MAX_CONDITION >= s_max), axis=-1)
+
+
 def _require_full_rank(
     design: np.ndarray, sv: np.ndarray, names: list[str], singular: str
 ) -> None:
     """Raise EstimationError unless ``design``, whose singular values are
-    ``sv`` in descending order, has full column rank.
+    ``sv`` in descending order, has full column rank by _rank's rule.
 
-    A singular value counts when it is above lstsq's default cut-off,
-    eps * max(design.shape) * s_max, and s_max/s_min is at most
-    _MAX_CONDITION. Only a singular design goes on to a pivoted QR, which
-    orders the columns by independence; the error, whose text starts with
-    ``singular``, names the trailing ones.
+    Only a singular design goes on to a pivoted QR, which orders the columns
+    by independence; the error, whose text starts with ``singular``, names
+    the trailing ones.
     """
-    cutoff = np.finfo(float).eps * max(design.shape) * sv[0]
-    rank = int(np.count_nonzero((sv > cutoff) & (sv * _MAX_CONDITION >= sv[0])))
+    rank = int(_rank(sv, design.shape))
     if rank < design.shape[1]:
         import scipy.linalg
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from .assumption_tests import (
     TestConfig,
     check_ar_length,
+    reused_buffers,
     test_constant_spatial,
     test_constant_temporal,
 )
@@ -140,9 +141,7 @@ class PowerCell:
     n_failures: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_reps", as_count(self.n_reps, "n_reps"))
-        if self.n_reps < 1:
-            raise ValidationError(f"n_reps must be >= 1, got {self.n_reps}")
+        object.__setattr__(self, "n_reps", as_count(self.n_reps, "n_reps", least=1))
         if not 0 <= self.n_failures < self.n_reps:
             raise ValidationError(
                 f"n_failures must lie in [0, n_reps), got {self.n_failures} of {self.n_reps}"
@@ -175,7 +174,9 @@ def run_power_cell(
 
     The spatial test consumes the simulated ground-truth TE by default
     (te_source="true"); "estimated" feeds the model-predicted TE instead.
-    The test settings are checked once, before any replication. Errors
+    The test settings are checked once, before any replication. The
+    replications run in one assumption_tests.reused_buffers block, so the
+    temporal sieve's working arrays are allocated once per cell. Errors
     inside a replication are collected; the cell is abandoned only when more
     than 1% of replications fail. The rejection rate counts the
     completed replications only.
@@ -184,9 +185,7 @@ def run_power_cell(
         raise ValidationError(f"test_kind must be one of {TEST_KINDS}, got {test_kind!r}")
     if te_source not in TE_SOURCES:
         raise ValidationError(f"te_source must be one of {TE_SOURCES}, got {te_source!r}")
-    n_reps = as_count(n_reps, "n_reps")
-    if n_reps < 1:
-        raise ValidationError(f"n_reps must be >= 1, got {n_reps}")
+    n_reps = as_count(n_reps, "n_reps", least=1)
     master_seed = check_seed(master_seed, "master_seed")
     key = cell_key(scenario, test_kind)
     settings = TestConfig(
@@ -195,22 +194,23 @@ def run_power_cell(
 
     rejections = 0
     failures: list[str] = []
-    for rep in range(n_reps):
-        rep_seed = derive_seed(master_seed, "power", key, rep)
-        try:
-            panel, _, true_u, _ = simulate_panel(replace(scenario, seed=rep_seed))
-            config = replace(settings, seed=derive_seed(rep_seed, "bootstrap"))
-            if test_kind == "temporal":
-                report = test_constant_temporal(panel, config)
-            else:
-                if te_source == "true":
-                    te = technical_efficiency(true_u)
+    with reused_buffers():
+        for rep in range(n_reps):
+            rep_seed = derive_seed(master_seed, "power", key, rep)
+            try:
+                panel, _, true_u, _ = simulate_panel(replace(scenario, seed=rep_seed))
+                config = replace(settings, seed=derive_seed(rep_seed, "bootstrap"))
+                if test_kind == "temporal":
+                    report = test_constant_temporal(panel, config)
                 else:
-                    te = estimate_model(panel).te
-                report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
-            rejections += int(report.reject)
-        except StfrontierError as err:
-            failures.append(f"replication {rep}: {err}")
+                    if te_source == "true":
+                        te = technical_efficiency(true_u)
+                    else:
+                        te = estimate_model(panel).te
+                    report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
+                rejections += int(report.reject)
+            except StfrontierError as err:
+                failures.append(f"replication {rep}: {err}")
     if len(failures) > _MAX_FAILURE_SHARE * n_reps:
         raise StfrontierError(
             f"cell {key} failed: {len(failures)}/{n_reps} replications errored; "
@@ -345,12 +345,14 @@ def run_grid(
 ) -> PowerTable:
     """Run every cell of the grid; output is identical for any worker count.
 
-    The cells are dealt into strided shares: this process runs the first
-    and a forked child each other one. ``n_workers`` caps the processes, None
-    means no cap, and there are never more than fork_width() or the cells.
-    Each share stops at its first error, and the earliest cell's error is
-    raised here, as a serial run would raise it.
+    n_reps is checked before any child is forked. The cells are dealt into
+    strided shares: this process runs the first and a forked child each
+    other one. ``n_workers`` caps the processes, None means no cap, and
+    there are never more than fork_width() or the cells. Each share stops
+    at its first error, and the earliest cell's error is raised here, as a
+    serial run would raise it.
     """
+    n_reps = as_count(n_reps, "n_reps", least=1)
     master_seed = check_seed(master_seed, "master_seed")
     cells = list(grid_spec.cells())
     if not cells:

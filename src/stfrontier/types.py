@@ -29,14 +29,19 @@ def _as_float_tuple(values, name: str) -> tuple[float, ...]:
     return out
 
 
-def as_count(value, name: str) -> int:
+def as_count(value, name: str, least: int | None = None) -> int:
     """``value`` as an int; a float with a fraction, a bool or a non-number is a
-    ValidationError that names the field, where int() would truncate or raise."""
+    ValidationError that names the field, where int() would truncate or raise,
+    and so is a count below ``least``, when given."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+        count = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        count = int(value)
+    else:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and count < least:
+        raise ValidationError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import re
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -24,12 +26,35 @@ from stfrontier.assumption_tests import (
     _ar_fit_rows,
     _last_coefficient,
     _null_sieve_draws,
+    _sieve_buffers,
     _sieve_refit,
     _spectral_radius,
     _stabilized,
+    reused_buffers,
     test_constant_temporal as run_temporal_test,
 )
+from stfrontier.estimation import least_squares
 from stfrontier.rng import substream
+
+
+def per_row_least_squares(series, p):
+    """Reference for _ar_fit_rows: the per-row fitter that its batched SVD
+    replaced, one estimation.least_squares call per row. Returns the
+    coefficients, the centered residuals and the mse of every row."""
+    n, t = series.shape
+    design = np.empty((n, t - p, p + 1))
+    design[..., 0] = 1.0
+    for j in range(1, p + 1):
+        design[..., j] = series[:, p - j : t - j]
+    target = series[:, p:]
+    names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
+    coeffs = np.empty((n, p + 1))
+    resid = np.empty_like(target)
+    for i in range(n):
+        coeffs[i] = least_squares(design[i], target[i], names, "singular")
+        resid[i] = target[i] - design[i] @ coeffs[i]
+    mse = (resid**2).sum(axis=1) / (t - p - (p + 1))
+    return coeffs, resid - resid.mean(axis=1, keepdims=True), mse
 
 
 def make_ar1(rho, t, seed, sigma=1.0, intercept=0.0):
@@ -83,6 +108,26 @@ class TestArFit:
         assert fit.mse > 0
         assert fit.series_head == (series[0], series[1])
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (1.5, "ar_order_p must be an integer, got 1.5"),
+            (True, "ar_order_p must be an integer, got True"),
+            ("1", "ar_order_p must be an integer, got '1'"),
+            (0, "ar_order_p must be >= 1, got 0"),
+            (-2.0, "ar_order_p must be >= 1, got -2"),
+        ],
+    )
+    def test_refused_orders_are_named(self, p, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ar_fit(make_ar1(0.4, 30, seed=11), p)
+
+    def test_integral_float_order_accepted(self):
+        series = make_ar1(0.4, 30, seed=11)
+        fit = ar_fit(series, 2.0)
+        assert type(fit.order) is int and fit.order == 2
+        assert fit.coeffs == ar_fit(series, 2).coeffs
+
 
 class TestArFitRows:
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -95,6 +140,22 @@ class TestArFitRows:
             assert fit.coeffs == alone.coeffs
             assert np.array_equal(fit.centered_residuals, alone.centered_residuals)
             assert fit.mse == alone.mse and fit.series_head == alone.series_head
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n, t, seed", [(50, 12, 1), (50, 12, 2), (20, 60, 3)])
+    def test_batched_fits_match_per_row_least_squares(self, n, t, seed, p):
+        panel = simulate_panel(
+            Scenario(n_units=n, n_periods=t, base_params=default_power_params(),
+                     contamination_fraction=0.1, temporal_shift_r=1.0, seed=seed)
+        )[0]
+        series = fit_frontier_gls(panel).innovations
+        coeffs, resid, mse = per_row_least_squares(series, p)
+        fits, failure = _ar_fit_rows(series, p)
+        assert failure is None
+        for i, fit in enumerate(fits):
+            assert _normwise_error(np.array(fit.coeffs), coeffs[i]) <= 1e-12
+            assert _normwise_error(fit.centered_residuals, resid[i]) <= 1e-12
+            assert abs(fit.mse - mse[i]) <= 1e-12 * mse[i]
 
     def test_first_failing_row_in_row_order_is_reported(self):
         rng = np.random.default_rng(3)
@@ -431,3 +492,86 @@ class TestBatchedSieve:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+class TestReusedBuffers:
+    @staticmethod
+    def _gate_fits(seed, n_units, p):
+        panel = gate_panel(seed, contaminated=seed % 2 == 1)
+        return [ar_fit(s, p) for s in fit_frontier_gls(panel).innovations[:n_units]]
+
+    def _assert_draws_equal_oracle(self, fits, config):
+        draws = _null_sieve_draws(fits, 12, config)
+        idx = _index_block(config, len(fits), 12)
+        assert np.array_equal(draws, _oracle_null_draws(fits, 12, config, idx))
+
+    def test_consecutive_draws_in_one_scope_equal_oracle(self):
+        # the second call reuses the first's set; N, k and p changes resize it
+        runs = [(1, 50, 500, 1), (2, 50, 500, 1), (3, 30, 500, 1), (4, 30, 200, 1),
+                (5, 30, 200, 2), (6, 50, 500, 3), (7, 50, 500, 1)]
+        with reused_buffers():
+            for seed, n_units, k, p in runs:
+                config = TestConfig(ar_order_p=p, n_boot_k=k, seed=100 + seed)
+                self._assert_draws_equal_oracle(self._gate_fits(seed, n_units, p), config)
+
+    def test_singular_unit_falls_back_in_a_scope(self):
+        # the elimination must leave the reused sums intact for lstsq
+        flat = ARFit(order=1, coeffs=(1.0, 0.0), centered_residuals=np.zeros(11), mse=0.0,
+                     series_head=(1.0,), n_obs=12)
+        fits = [ar_fit(make_ar1(0.4, 12, seed=3), 1), flat]
+        idx = np.random.default_rng(0).integers(
+            0, 11, size=(SIEVE_BURN_IN + 12, 2, 100), dtype=np.uint8
+        )
+        good, flat = (_oracle_sieve_batch(fit, 12, idx[:, i, :].T) for i, fit in enumerate(fits))
+        lstsq = [np.linalg.lstsq(a, b, rcond=None)[0][-1]
+                 for a, b in zip(*_oracle_normal_equations(flat, 1))]
+        expected = np.stack([_oracle_ar_refit_batch(good, 1), lstsq])
+        with reused_buffers():
+            for _ in range(2):
+                assert np.array_equal(_sieve_refit(fits, idx), expected)
+
+    def test_set_is_kept_per_key_in_a_scope_only(self):
+        assert _sieve_buffers(50, 100, 1) is not _sieve_buffers(50, 100, 1)
+        with reused_buffers():
+            held = _sieve_buffers(50, 100, 1)
+            assert _sieve_buffers(50, 100, 1) is held
+            assert _sieve_buffers(40, 100, 1) is not held
+            assert _sieve_buffers(50, 100, 1) is not held  # the resize dropped it
+        assert _sieve_buffers(50, 100, 1) is not _sieve_buffers(50, 100, 1)
+
+    def test_outer_scope_usable_after_an_inner_one(self):
+        config = TestConfig(n_boot_k=500, seed=11)
+        fits = self._gate_fits(1, 50, 1)
+        with reused_buffers():
+            self._assert_draws_equal_oracle(fits, config)
+            held = _sieve_buffers(50, 500, 1)
+            with reused_buffers():
+                self._assert_draws_equal_oracle(self._gate_fits(2, 20, 2),
+                                                TestConfig(ar_order_p=2, n_boot_k=300, seed=12))
+                assert _sieve_buffers(50, 500, 1) is not held
+            assert _sieve_buffers(50, 500, 1) is held
+            self._assert_draws_equal_oracle(fits, config)
+
+    def test_scope_is_per_thread(self):
+        seen = []
+        with reused_buffers():
+            held = _sieve_buffers(50, 100, 1)
+            worker = threading.Thread(target=lambda: seen.append(_sieve_buffers(50, 100, 1)))
+            worker.start()
+            worker.join()
+        assert seen[0] is not held
+
+    def test_later_replication_in_a_scope_allocates_little(self):
+        # bound fixed before the first run: the 1.55 MB index block and a few
+        # (50, 500) arrays, against about 3.5 MiB for a call outside a scope
+        panel = gate_panel(1)
+        config = TestConfig(n_boot_k=500, seed=3)
+        with reused_buffers():
+            run_temporal_test(panel, config)
+            tracemalloc.start()
+            try:
+                run_temporal_test(panel, replace(config, seed=4))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * 2**20

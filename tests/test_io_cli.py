@@ -1136,6 +1136,29 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["temporal", "spatial"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alpha", "0.7"], "alpha must lie in (0, 0.5), got 0.7"),
+            (["--boot-k", "50"], "n_boot_k must be >= 100, got 50"),
+            (["--ar-order", "0"], "ar_order_p must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_setting_is_named_before_the_panel_is_read(
+        self, tmp_path, capsys, kind, flags, message
+    ):
+        # the panel path does not exist, so reading it first would exit 1
+        # with the read's error in place of the setting's
+        out = tmp_path / "report.json"
+        code = parse_and_dispatch(
+            [f"test-{kind}", "--panel", str(tmp_path / "missing.csv"), *flags,
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_power_grid_too_short_for_ar_order_exits_with_usage_error(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"test_kinds": ["temporal"], "t_values": [4], "ar_order_p": 1}))
@@ -1399,8 +1422,8 @@ PINNED_SHA256 = {
     "s1.json": "df762dc291fd9bbc4f14ecf71605efafcafb51f43ae996aac9774a3fb83342ea",
     "s2.json": "d607a80a001b9bf82578926ad6fe44668a3254d407737aae238e0b0cf2bc8958",
     "split.csv": "ad35f9188575b4915bc2e1695a702f768accc8d4f64123b88f89a6e988b985ec",
-    "t1.json": "a12d36bdc6fa0f4b2d537c25c3a6bb344e220ea02fc48cd7b1eba548a483799a",
-    "t2.json": "3877853443e08f24d5ef14c786df19653b99dcd0bfd824149e68360e2bb6bce4",
+    "t1.json": "ecd0a87fe31ef8fc0d6f9cb30c43a3568cd75219e715328367f5bd9e6b7c0988",
+    "t2.json": "a8acb99cf4d0d9109cfd13c344b3756023f3956a9a9d47de7255baf82a6e8ec3",
     "te.csv": "17fcc253521eb8dce745e93341e0999a59d0098067070b2ef9afe5cfb2915406",
 }
 
@@ -1435,6 +1458,108 @@ def test_estimate_report_moves_by_rounding_only(tmp_path, monkeypatch):
         assert parse_and_dispatch(argv.split()) == 0
     report = json.loads((tmp_path / "e.json").read_text())
     assert_reports_close(QUASI_DIFFERENCE_E_JSON, report, rtol=1e-13)
+
+
+TEMPORAL_DECISION_RULE = (
+    "reject if at least one per-unit simultaneous (max-t, null-imposing sieve) interval "
+    "excludes the cross-unit mean"
+)
+
+# t1.json and t2.json of test_output_bytes_are_pinned as the per-row
+# least-squares AR fits wrote them, before ledger D18
+PER_ROW_LSTSQ_T_JSON = {
+    "t1.json": {
+        "meta": {"version": "0.1.0",
+                 "command": "test-temporal --panel p.csv --boot-k 100 --seed 1 --out t1.json",
+                 "seed": 1},
+        "test_kind": "temporal",
+        "reference_value": -0.06075473313742264,
+        "n_failing": 0,
+        "reject": False,
+        "decision_rule": TEMPORAL_DECISION_RULE,
+        "alpha": 0.05,
+        "blocks": [
+            {"label": "0", "estimate": 0.22281259383465418,
+             "interval": [-0.6004231570201221, 1.0460483446894306], "excludes_reference": False},
+            {"label": "1", "estimate": 0.3448519003544308,
+             "interval": [-0.5679383651257139, 1.2576421658345756], "excludes_reference": False},
+            {"label": "2", "estimate": -0.33555371290642866,
+             "interval": [-1.2119650656866965, 0.5408576398738391], "excludes_reference": False},
+            {"label": "3", "estimate": -0.5036554724734215,
+             "interval": [-1.2900820248104512, 0.2827710798636082], "excludes_reference": False},
+            {"label": "4", "estimate": 0.1737014099801808,
+             "interval": [-0.694483348262739, 1.0418861682231007], "excludes_reference": False},
+            {"label": "5", "estimate": 0.05335657690173399,
+             "interval": [-0.9028455246502443, 1.0095586784537123], "excludes_reference": False},
+            {"label": "6", "estimate": -0.023155956239820714,
+             "interval": [-0.9881267027799867, 0.9418147903003453], "excludes_reference": False},
+            {"label": "7", "estimate": -0.5321493983092833,
+             "interval": [-1.4648931081013612, 0.4005943114827946], "excludes_reference": False},
+            {"label": "8", "estimate": -0.10200459968336778,
+             "interval": [-1.0323322303112545, 0.8283230309445188], "excludes_reference": False},
+            {"label": "9", "estimate": 0.43970073806212506,
+             "interval": [-0.41786135719058587, 1.2972628333148362], "excludes_reference": False},
+            {"label": "10", "estimate": -0.11194390884795358,
+             "interval": [-1.0051364279965727, 0.7812486103006654], "excludes_reference": False},
+            {"label": "11", "estimate": -0.355016968321921,
+             "interval": [-1.2584950997933921, 0.5484611631495502], "excludes_reference": False},
+        ],
+    },
+    "t2.json": {
+        "meta": {"version": "0.1.0",
+                 "command": "test-temporal --panel p.csv --ar-order 2 --boot-k 100 --seed 1 --out t2.json",
+                 "seed": 1},
+        "test_kind": "temporal",
+        "reference_value": -0.2145749502895902,
+        "n_failing": 0,
+        "reject": False,
+        "decision_rule": TEMPORAL_DECISION_RULE,
+        "alpha": 0.05,
+        "blocks": [
+            {"label": "0", "estimate": -0.354319068426255,
+             "interval": [-1.4207548165200805, 0.7121166796675705], "excludes_reference": False},
+            {"label": "1", "estimate": -0.46119803620038136,
+             "interval": [-1.511330122718345, 0.5889340503175823], "excludes_reference": False},
+            {"label": "2", "estimate": 0.1582239481626958,
+             "interval": [-0.8037016048187707, 1.1201495011441625], "excludes_reference": False},
+            {"label": "3", "estimate": -0.2918825085743843,
+             "interval": [-1.193697295466922, 0.6099322783181534], "excludes_reference": False},
+            {"label": "4", "estimate": -0.23527906370468468,
+             "interval": [-1.135372708570148, 0.6648145811607785], "excludes_reference": False},
+            {"label": "5", "estimate": -0.2915406104106612,
+             "interval": [-1.3585951537958363, 0.7755139329745137], "excludes_reference": False},
+            {"label": "6", "estimate": -0.06015549815988195,
+             "interval": [-1.0158840959206463, 0.8955730996008824], "excludes_reference": False},
+            {"label": "7", "estimate": -0.5623020642990005,
+             "interval": [-1.5389487170838758, 0.4143445884858747], "excludes_reference": False},
+            {"label": "8", "estimate": -0.14950080430520485,
+             "interval": [-1.0759795774264722, 0.7769779688160624], "excludes_reference": False},
+            {"label": "9", "estimate": -0.17232348464860422,
+             "interval": [-1.1598524285106961, 0.8152054592134875], "excludes_reference": False},
+            {"label": "10", "estimate": 0.1159720164258841,
+             "interval": [-0.7908791238457664, 1.0228231566975348], "excludes_reference": False},
+            {"label": "11", "estimate": -0.27059422933460403,
+             "interval": [-1.2362840702151907, 0.6950956115459824], "excludes_reference": False},
+        ],
+    },
+}
+
+
+def test_temporal_reports_move_by_rounding_only(tmp_path, monkeypatch):
+    """The batched SVD AR fits moved t1.json and t2.json at rounding level only:
+    the sieve carries the fits' last-bit differences into the draws, and the
+    largest move seen was 1.7e-13 relative, on an interval limit at p = 2."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"n_units": 12, "n_periods": 10, "seed": 4}))
+    for argv in (
+        "simulate --scenario s.json --out p.csv",
+        "test-temporal --panel p.csv --boot-k 100 --seed 1 --out t1.json",
+        "test-temporal --panel p.csv --ar-order 2 --boot-k 100 --seed 1 --out t2.json",
+    ):
+        assert parse_and_dispatch(argv.split()) == 0
+    for name, old in PER_ROW_LSTSQ_T_JSON.items():
+        report = json.loads((tmp_path / name).read_text())
+        assert_reports_close(old, report, rtol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from stfrontier import (
     StfrontierError,
     ValidationError,
     default_power_params,
+    assumption_tests,
     power,
     run_grid,
     run_power_cell,
@@ -103,6 +104,18 @@ class TestRunPowerCell:
         assert cell.n_failures == 1
         assert cell.n_rejections == 33
         assert cell.rejection_rate == cell.n_rejections / 99
+
+    def test_replications_share_one_sieve_buffer_set(self, monkeypatch):
+        seen = []
+
+        def record(panel, config):
+            seen.append(assumption_tests._sieve_buffers(8, 100, 1))
+            return SimpleNamespace(reject=False)
+
+        monkeypatch.setattr(power, "test_constant_temporal", record)
+        run_power_cell(tiny_scenario(), "temporal", 3, master_seed=2)
+        assert seen[0] is seen[1] is seen[2]
+        assert assumption_tests._sieve_buffers(8, 100, 1) is not seen[0]  # freed with the cell
 
     def test_cell_key_excludes_seed(self):
         a = cell_key(tiny_scenario(seed=1), "temporal")
@@ -320,6 +333,19 @@ class TestForkedShares:
     def test_refused_worker_counts(self, recorded_forks, n_workers):
         with pytest.raises(ValidationError, match="n_workers must be an integer"):
             run_grid(tiny_grid(), 1, master_seed=15, n_workers=n_workers)
+        assert recorded_forks == []
+
+    @pytest.mark.parametrize(
+        "n_reps, message",
+        [
+            (0, "n_reps must be >= 1, got 0"),
+            (2.5, "n_reps must be an integer, got 2.5"),
+            (True, "n_reps must be an integer, got True"),
+        ],
+    )
+    def test_refused_replication_counts_fork_nothing(self, recorded_forks, n_reps, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_grid(tiny_grid(), n_reps, master_seed=15, n_workers=2)
         assert recorded_forks == []
 
     def test_one_worker_forks_nothing(self, recorded_forks):
