@@ -18,15 +18,17 @@ AR-sieve bootstrap (Buehlmann 1997) then runs with the highest-lag
 coefficient set to the cross-unit mean, so the resamples obey the null, and
 rebuilds k series from the unit's centered fit residuals; each is refit. The
 sieves of all units run as one recursion over N*k series: one generator
-draws their innovation indices as a single block, the lagged values rotate
-through a ring of arrays, and the refit's normal equations are summed while
-the recursion runs, so no sieve series is stored. Forward elimination of the
-N*k symmetric systems gives the refit coefficients. Within a reused_buffers
-block, as around a power cell's replications, the recursion's (N, k) arrays
-are allocated once and reused by every call of the same shape. Each unit's
-deviation is studentised by its own bootstrap standard deviation. The null
-is rejected when at least one unit's interval excludes the cross-unit mean
-of the original estimates.
+draws their innovation indices as a single block, by Lemire's rule on
+chunks of its raw words (rng.index_block, bit for bit Generator.integers),
+the lagged values rotate through a ring of arrays, and the refit's normal
+equations are summed while the recursion runs, so no sieve series is
+stored. Forward elimination of the N*k symmetric systems gives the refit
+coefficients. Within a reused_buffers block, as around a power cell's
+replications or the cells of a run_grid share, the recursion's (N, k)
+arrays are allocated once and reused by every call of the same shape. Each
+unit's deviation is studentised by its own bootstrap standard deviation. The
+null is rejected when at least one unit's interval excludes the cross-unit
+mean of the original estimates.
 
 test_constant_spatial: is the spatial effect on technical efficiency equal
 across time points? Per period, TE is mapped back to the linear scale and
@@ -51,7 +53,7 @@ import numpy as np
 from .errors import BootstrapError, EstimationError, ValidationError
 from .estimation import _rank, _require_full_rank, fit_frontier_gls, least_squares
 from .frontier import TE_LOWER, te_to_logit
-from .rng import check_seed, substream
+from .rng import check_seed, index_block, substream
 from .types import PanelDataset, as_count
 
 #: Values drawn and discarded before a sieve series is emitted.
@@ -278,10 +280,12 @@ def reused_buffers():
     Inside the block _sieve_refit takes them from one set, keyed by
     (N, k, p), which its first call allocates and later calls with the same
     key reuse; a call with another key replaces the set. Outside any block
-    each call allocates its own. On exit the enclosing block's set, if any,
-    is restored. Without the block, malloc can hand a freed set's pages back
-    to the system after each replication, and the next one faults them in
-    again (ledger D18 in CHANGES.md).
+    each call allocates its own. An inner block starts with no set, and on
+    exit the enclosing block's set, if any, is restored; run_power_cell
+    opens a block only where holds_buffers() finds none, so a run_grid
+    share keeps one set across its cells. Without the block, malloc can
+    hand a freed set's pages back to the system after each replication, and
+    the next one faults them in again (ledger D18 in CHANGES.md).
     """
     outer = getattr(_held, "buffers", None)
     _held.buffers = {}
@@ -289,6 +293,11 @@ def reused_buffers():
         yield
     finally:
         _held.buffers = outer
+
+
+def holds_buffers() -> bool:
+    """Whether a reused_buffers block is open on this thread."""
+    return getattr(_held, "buffers", None) is not None
 
 
 def _sieve_buffers(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +330,9 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     observed first p values. Each unit's intercept is folded into its
     centered residuals, so at step s unit i's series starts from the entry
     c_i + e that idx[s, i] picks in that table, and then adds the lag
-    products a_1*y_{t-1}, ..., a_p*y_{t-p} in lag order. The p lagged values
+    products a_1*y_{t-1}, ..., a_p*y_{t-p} in lag order; a coefficient that
+    every unit shares, as the pooled one at p = 1, is one scalar, and its
+    row of the buffers is left as scratch. The p lagged values
     are a ring of (units, k) arrays: each step writes the new value into the
     array that the previous step's oldest lag left free and rotates the ring,
     so no state is shifted or copied. Each series is emitted after
@@ -344,7 +355,7 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     pairs = [(c, d) for c in range(q) for d in range(max(c, 1), q)]
     n_sums = len(pairs) + q
     floats, (offsets, position) = _sieve_buffers(n, k, p)
-    lag, ring, product = floats[:p], list(floats[p : p + q]), floats[p + q]
+    lag_rows, ring, product = floats[:p], list(floats[p : p + q]), floats[p + q]
     extra = list(floats[p + q + 1 : -n_sums])
     sums = floats[-n_sums:]
     sums.fill(0.0)
@@ -354,8 +365,14 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     # per-unit constants spread over the k series: a broadcast operand would
     # make every step's passes slower
     offsets[:] = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])[:, None]
-    for j in range(p):
-        lag[j][:] = np.array([fit.coeffs[j + 1] for fit in fits])[:, None]
+    lag = []
+    for j, row in enumerate(lag_rows):
+        coef = np.array([fit.coeffs[j + 1] for fit in fits])
+        if (coef.view(np.uint64) == coef.view(np.uint64)[0]).all():
+            lag.append(coef[0])  # every unit's: a scalar gives the same products
+        else:
+            row[:] = coef[:, None]
+            lag.append(row)
     # ring[j] holds y_{t-1-j}; the spare array receives the next value
     for j in range(p):
         ring[j][:] = np.array([fit.series_head[p - 1 - j] for fit in fits])[:, None]
@@ -379,7 +396,7 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     # no reference
     del idx, step_idx
     xtx[0, 0] = np.broadcast_to(float(steps - first), (n, k))
-    return _last_coefficient(xtx, xty, [*ring, spare, *lag, product, *extra])
+    return _last_coefficient(xtx, xty, [*ring, spare, *lag_rows, product, *extra])
 
 
 def _last_coefficient(a, b, scratch=()) -> np.ndarray:
@@ -476,21 +493,20 @@ def _null_sieve_draws(fits: list[ARFit], m: int, config: TestConfig) -> np.ndarr
     cross-unit mean, stabilized if that makes it (near-)explosive. One
     generator, substream "temporal-sieve", draws the innovation indices of
     all units as one time-major (steps, N, k) block in the smallest unsigned
-    dtype that holds them.
+    dtype that holds them: rng.index_block, which gives the bits of
+    Generator.integers from whole chunks of raw words.
     """
     pooled = float(np.mean([fit.highest_lag_coeff for fit in fits]))
     null_fits = [
         _stabilized(replace(fit, coeffs=(*fit.coeffs[:-1], pooled))) for fit in fits
     ]
-    n_residuals = m - config.ar_order_p
-    rng = substream(config.seed, "temporal-sieve")
     return _sieve_refit(  # no reference kept here, so the refit can free the block
         null_fits,
-        rng.integers(
-            0,
-            n_residuals,
-            size=(SIEVE_BURN_IN + m, len(fits), config.n_boot_k),
-            dtype=np.min_scalar_type(n_residuals - 1),
+        index_block(
+            config.seed,
+            "temporal-sieve",
+            n=m - config.ar_order_p,
+            shape=(SIEVE_BURN_IN + m, len(fits), config.n_boot_k),
         ),
     )
 

@@ -456,11 +456,13 @@ def _parses(line: str, dtype) -> bool:
         return False
 
 
-# A plain block holds no byte below '$' but newlines, so no '"', '#', CR,
-# blank, tab or NUL, and a newline closes each of its lines after exactly
-# width + 1 commas: every line is a data row whose fields lie between
-# separators, as the writer lays them out. _decimal_fields reads each value
-# from the _WINDOW bytes that end at its separator.
+# A plain block holds no byte below '$' but newlines and blanks in labels,
+# so no '"', '#', CR, tab or NUL and no blank in a value, and a newline
+# closes each of its lines after exactly width + 1 commas: every line is a
+# data row whose fields lie between separators, as the writer lays them out.
+# Its labels are kept byte for byte, blanks included, as np.loadtxt keeps
+# them. _decimal_fields reads each value from the _WINDOW bytes that end at
+# its separator.
 _WINDOW = 24
 _HIGHS = _ONES * _U64(0x80)
 
@@ -612,10 +614,16 @@ def _plain_rows(text: str, width: int, labels: tuple[dict, dict]):
     separators = np.flatnonzero(newlines | (chars == ord(",")))
     if len(separators) != rows * (width + 2):
         return None
-    if np.count_nonzero(chars[_WINDOW:-8] < ord("$")) != rows:
+    low = np.count_nonzero(chars[_WINDOW:-8] < ord("$"))
+    blanks = np.flatnonzero(chars == ord(" ")) if low != rows else np.empty(0, np.intp)
+    if low != rows + len(blanks):
         return None
     separators = separators.reshape(rows, width + 2)
     if (chars[separators[:, -1]] != ord("\n")).any():
+        return None
+    # each blank must lie before the second comma of its line
+    line_of = np.searchsorted(separators[:, -1], blanks)
+    if (blanks > separators[line_of, 1]).any():
         return None
     ends = separators[:, 2:].ravel()
     lengths = ends - 1 - separators[:, 1:-1].ravel()

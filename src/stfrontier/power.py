@@ -25,12 +25,13 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 from .assumption_tests import (
     TestConfig,
     check_ar_length,
+    holds_buffers,
     reused_buffers,
     test_constant_spatial,
     test_constant_temporal,
@@ -176,10 +177,10 @@ def run_power_cell(
     (te_source="true"); "estimated" feeds the model-predicted TE instead.
     The test settings are checked once, before any replication. The
     replications run in one assumption_tests.reused_buffers block, so the
-    temporal sieve's working arrays are allocated once per cell. Errors
-    inside a replication are collected; the cell is abandoned only when more
-    than 1% of replications fail. The rejection rate counts the
-    completed replications only.
+    temporal sieve's working arrays are allocated once per cell, or in the
+    caller's block if one is open. Errors inside a replication are
+    collected; the cell is abandoned only when more than 1% of replications
+    fail. The rejection rate counts the completed replications only.
     """
     if test_kind not in TEST_KINDS:
         raise ValidationError(f"test_kind must be one of {TEST_KINDS}, got {test_kind!r}")
@@ -194,7 +195,8 @@ def run_power_cell(
 
     rejections = 0
     failures: list[str] = []
-    with reused_buffers():
+    # inside run_grid's share, the share's block keeps the set across cells
+    with nullcontext() if holds_buffers() else reused_buffers():
         for rep in range(n_reps):
             rep_seed = derive_seed(master_seed, "power", key, rep)
             try:
@@ -345,19 +347,21 @@ def run_grid(
 ) -> PowerTable:
     """Run every cell of the grid; output is identical for any worker count.
 
-    n_reps is checked before any child is forked. The cells are dealt into
-    strided shares: this process runs the first and a forked child each
-    other one. ``n_workers`` caps the processes, None means no cap, and
-    there are never more than fork_width() or the cells. Each share stops
-    at its first error, and the earliest cell's error is raised here, as a
-    serial run would raise it.
+    n_reps and n_workers are checked before any child is forked. The cells
+    are dealt into strided shares: this process runs the first and a forked
+    child each other one. ``n_workers`` caps the processes, at least 1, None
+    means no cap, and there are never more than fork_width() or the cells.
+    A share runs its cells in one assumption_tests.reused_buffers block, so
+    its consecutive temporal cells of one shape reuse one sieve buffer set.
+    Each share stops at its first error, and the earliest cell's error is
+    raised here, as a serial run would raise it.
     """
     n_reps = as_count(n_reps, "n_reps", least=1)
     master_seed = check_seed(master_seed, "master_seed")
     cells = list(grid_spec.cells())
     if not cells:
         raise ValidationError("empty grid")
-    cap = len(cells) if n_workers is None else max(1, as_count(n_workers, "n_workers"))
+    cap = len(cells) if n_workers is None else as_count(n_workers, "n_workers", least=1)
     width = min(fork_width(), cap, len(cells))
     names = ("boot_k", "alpha", "ar_order_p", "series_source", "te_source")
     settings = {name: getattr(grid_spec, name) for name in names}
@@ -366,11 +370,12 @@ def run_grid(
         """The cells first, first + width, ... in order, up to the first that
         raises, and that error or None."""
         done = []
-        for scenario, kind in cells[first::width]:
-            try:
-                done.append(run_power_cell(scenario, kind, n_reps, master_seed, **settings))
-            except Exception as err:
-                return done, err
+        with reused_buffers():  # consecutive cells of one shape share the sieve's set
+            for scenario, kind in cells[first::width]:
+                try:
+                    done.append(run_power_cell(scenario, kind, n_reps, master_seed, **settings))
+                except Exception as err:
+                    return done, err
         return done, None
 
     with ExitStack() as children:

@@ -20,7 +20,7 @@ from stfrontier import (
     fit_frontier_gls,
     simulate_panel,
 )
-from stfrontier import assumption_tests
+from stfrontier import assumption_tests, rng
 from stfrontier.assumption_tests import (
     SIEVE_BURN_IN,
     _ar_fit_rows,
@@ -34,7 +34,7 @@ from stfrontier.assumption_tests import (
     test_constant_temporal as run_temporal_test,
 )
 from stfrontier.estimation import least_squares
-from stfrontier.rng import substream
+from stfrontier.rng import index_block, substream
 
 
 def per_row_least_squares(series, p):
@@ -575,3 +575,74 @@ class TestReusedBuffers:
             finally:
                 tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+def _rejected_lanes(seed, n, count):
+    """Positions, among the first ``count`` lanes of substream(seed, "idx"),
+    of the lanes that Lemire's rule rejects, found with Python integers."""
+    size = np.min_scalar_type(n - 1).itemsize
+    bits = 8 * size
+    words = substream(seed, "idx").bit_generator.random_raw(-(-count * size // 8))
+    stream = b"".join(int(word).to_bytes(8, "little") for word in words)
+    lanes = [int.from_bytes(stream[i : i + size], "little") for i in range(0, count * size, size)]
+    threshold = (2**bits - n) % n
+    return [i for i, x in enumerate(lanes) if (x * n) % 2**bits < threshold]
+
+
+class TestIndexBlock:
+    """rng.index_block against the Generator.integers draw it replaces."""
+
+    NS = [2, 3, 11, 59, 255, 256, 257, 65535, 65536, 65537]
+
+    @staticmethod
+    def _assert_equals_integers(seed, n, shape):
+        expected = substream(seed, "idx").integers(
+            0, n, size=shape, dtype=np.min_scalar_type(n - 1)
+        )
+        got = index_block(seed, "idx", n=n, shape=shape)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_equals_integers_at_sizes_around_the_chunk(self, n):
+        chunk = rng._INDEX_CHUNK
+        for size in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 9):
+            self._assert_equals_integers(n, n, size)
+        self._assert_equals_integers(n, n, (7, 3, 5))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_equals_integers_across_many_small_chunks(self, n, monkeypatch):
+        monkeypatch.setattr(rng, "_INDEX_CHUNK", 64)
+        for size in (63, 64, 65, 640, 5000):
+            self._assert_equals_integers(n, n, size)
+
+    @pytest.mark.parametrize("n", [3, 11, 59, 255])
+    def test_rejections_on_both_sides_of_a_chunk_boundary(self, n, monkeypatch):
+        # lanes are drawn 64 at a time; at the first boundary with a rejected
+        # lane on each side, the first chunk's accepted lanes end early and
+        # the next chunk's must follow them
+        monkeypatch.setattr(rng, "_INDEX_CHUNK", 64)
+        rejected = np.array(_rejected_lanes(n, n, 1 << 14))
+        chunks = set(rejected // 64)
+        boundary = 64 * min(c for c in chunks if c + 1 in chunks) + 64
+        accepted = boundary - np.count_nonzero(rejected < boundary)
+        for size in (accepted - 1, accepted, accepted + 1, boundary + 64):
+            self._assert_equals_integers(n, n, size)
+
+    def test_rejections_near_the_real_chunk_boundary(self):
+        chunk = rng._INDEX_CHUNK
+        rejected = _rejected_lanes(4, 59, 2 * chunk)
+        assert any(chunk - 64 <= i < chunk for i in rejected)
+        assert any(chunk <= i < chunk + 64 for i in rejected)
+        for size in (chunk - 1, chunk + 1, 2 * chunk):
+            self._assert_equals_integers(4, 59, size)
+
+    def test_one_value_and_the_largest_range(self):
+        self._assert_equals_integers(3, 1, 100)
+        self._assert_equals_integers(3, 2**32, 1000)
+        self._assert_equals_integers(3, 2**32 - 1, 1000)
+
+    @pytest.mark.parametrize("n", [0, 2**32 + 1])
+    def test_ranges_out_of_reach_are_refused(self, n):
+        with pytest.raises(ValueError, match="n must lie in"):
+            index_block(0, n=n, shape=3)

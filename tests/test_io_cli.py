@@ -353,6 +353,13 @@ def padded(text):
     return "\n".join(lines[:start] + body) + "\n"
 
 
+def with_value(line, column, value):
+    """The line with its field ``column`` replaced by ``value``."""
+    fields = line.split(",")
+    fields[column] = value
+    return ",".join(fields)
+
+
 def panel_text(tmp_path, params=None, unit_ids=None, period_ids=None):
     scenario = Scenario(n_units=7, n_periods=6, seed=8, base_params=params or ModelParams())
     panel = simulate_panel(scenario)[0]
@@ -407,6 +414,59 @@ class TestReaderMatchesRowLoop:
         target.write_text(shuffled(text))
         result = assert_same_outcome(target)
         assert set(result[4]) == set(units) and set(result[5]) == set(periods)
+
+    BLANK_UNITS = ("New York", "x  y", " lead", "trail ", "t 1", "u", "v")
+    BLANK_PERIODS = ("t 1", "2", " 3", "4 ", "5  5", "x  y")
+
+    def _blank_labelled(self, tmp_path, edit):
+        """The blank-labelled panel as written, with ``edit`` applied to its
+        list of body lines, shuffled."""
+        text = panel_text(tmp_path, unit_ids=self.BLANK_UNITS, period_ids=self.BLANK_PERIODS)
+        lines = text.splitlines()
+        start = body_start(lines)
+        target = tmp_path / "panel.csv"
+        target.write_text(shuffled("\n".join(lines[:start] + edit(lines[start:])) + "\n"))
+        return target
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda body: body, None),
+            (lambda body: body + body[:1], "duplicate cell (unit New York, period t 1)"),
+            (lambda body: body[1:], "missing cell (unit New York, period t 1)"),
+            (lambda body: [with_value(body[0], 2, "0")] + body[1:], "output must be positive"),
+            (lambda body: [with_value(body[0], 3, "oops")] + body[1:], "malformed number"),
+            (lambda body: [with_value(body[0], 3, " 1.5")] + body[1:], None),
+        ],
+        ids=["as-written", "duplicate", "missing", "y-zero", "malformed", "blank-in-a-value"],
+    )
+    def test_blank_labels_read_as_loadtxt_reads_them(
+        self, tmp_path, read_blocks, monkeypatch, edit, message
+    ):
+        target = self._blank_labelled(tmp_path, edit)
+        kernel = assert_same_outcome(target)
+        monkeypatch.setattr(stio, "_plain_rows", lambda text, width, labels: None)
+        assert_equal_outcomes(kernel, outcome(read_panel_csv, target))
+        if message is None:
+            assert set(kernel[4]) == set(self.BLANK_UNITS)
+            assert set(kernel[5]) == set(self.BLANK_PERIODS)
+        else:
+            assert kernel[0] is DataError and message in kernel[1]
+
+    def test_blank_labels_need_no_loadtxt(self, tmp_path, read_blocks, monkeypatch):
+        target = self._blank_labelled(tmp_path, lambda body: body)
+        expected = outcome(oracle_read_panel_csv, target)
+
+        def refuse(lines, dtype):
+            raise AssertionError("np.loadtxt was called")
+
+        monkeypatch.setattr(stio, "_loadtxt", refuse)
+        assert_equal_outcomes(outcome(read_panel_csv, target), expected)
+
+    def test_a_blank_in_a_value_leaves_the_block_to_loadtxt(self):
+        assert stio._plain_rows("New York, t 1 ,1.5,2\n", 2, ({}, {})) is not None
+        for line in ("a,b, 1.5,2\n", "a,b,1.5 ,2\n", "a,b,1.5,2 \n", "a,b,1.5, \n"):
+            assert stio._plain_rows(line, 2, ({}, {})) is None
 
     def test_three_inputs(self, tmp_path, read_blocks):
         params = ModelParams(beta=(0.3, 0.2, 0.1))

@@ -117,6 +117,20 @@ class TestRunPowerCell:
         assert seen[0] is seen[1] is seen[2]
         assert assumption_tests._sieve_buffers(8, 100, 1) is not seen[0]  # freed with the cell
 
+    def test_a_share_of_same_shape_cells_allocates_one_sieve_buffer_set(self, monkeypatch):
+        allocate = assumption_tests._sieve_buffers
+        sets = []
+
+        def record(n, k, p):
+            sets.append(allocate(n, k, p))
+            return sets[-1]
+
+        monkeypatch.setattr(assumption_tests, "_sieve_buffers", record)
+        grid = tiny_grid(test_kinds=("temporal",))  # two cells of one (N, k, p)
+        run_grid(grid, 2, master_seed=3, n_workers=1)
+        assert len(sets) == 4 and len({id(buffers) for buffers in sets}) == 1
+        assert allocate(8, 100, 1) is not sets[0]  # freed with the share
+
     def test_cell_key_excludes_seed(self):
         a = cell_key(tiny_scenario(seed=1), "temporal")
         b = cell_key(tiny_scenario(seed=2), "temporal")
@@ -332,6 +346,13 @@ class TestForkedShares:
     @pytest.mark.parametrize("n_workers", [1.5, True, "2"])
     def test_refused_worker_counts(self, recorded_forks, n_workers):
         with pytest.raises(ValidationError, match="n_workers must be an integer"):
+            run_grid(tiny_grid(), 1, master_seed=15, n_workers=n_workers)
+        assert recorded_forks == []
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_worker_counts_below_one_fork_nothing(self, recorded_forks, n_workers):
+        message = f"n_workers must be >= 1, got {n_workers}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             run_grid(tiny_grid(), 1, master_seed=15, n_workers=n_workers)
         assert recorded_forks == []
 
