@@ -13,22 +13,24 @@ alpha under the null.
 test_constant_temporal: are the units' autocorrelation coefficients equal?
 All units' series (frontier residuals by default) are fit an AR(p) in one
 pass: their lag designs are stacked, checked as row masks, and factored by
-one batched SVD, so each fit equals a fit to that series alone. Each unit's
-AR-sieve bootstrap (Buehlmann 1997) then runs with the highest-lag
-coefficient set to the cross-unit mean, so the resamples obey the null, and
-rebuilds k series from the unit's centered fit residuals; each is refit. The
-sieves of all units run as one recursion over N*k series: one generator
-draws their innovation indices as a single block, by Lemire's rule on
-chunks of its raw words (rng.index_block, bit for bit Generator.integers),
-the lagged values rotate through a ring of arrays, and the refit's normal
-equations are summed while the recursion runs, so no sieve series is
-stored. Forward elimination of the N*k symmetric systems gives the refit
-coefficients. Within a reused_buffers block, as around a power cell's
-replications or the cells of a run_grid share, the recursion's (N, k)
-arrays are allocated once and reused by every call of the same shape. Each
-unit's deviation is studentised by its own bootstrap standard deviation. The
-null is rejected when at least one unit's interval excludes the cross-unit
-mean of the original estimates.
+one batched SVD, so each fit equals a fit to that series alone; the fits
+stay stacked arrays up to the refit. Each unit's AR-sieve bootstrap
+(Buehlmann 1997) then runs with the highest-lag coefficient set to the
+cross-unit mean, so the resamples obey the null: that column of the (N, p)
+lag matrix takes the pooled value, and only the rows this makes
+(near-)explosive are rescaled. Each sieve rebuilds k series from the unit's
+centered fit residuals; each is refit. The sieves of all units run as one
+recursion over N*k series: one generator draws their innovation indices as
+a single block, by Lemire's rule on chunks of its raw words
+(rng.index_block, bit for bit Generator.integers), the lagged values rotate
+through a ring of arrays, and the refit's normal equations are summed while
+the recursion runs, so no sieve series is stored. Forward elimination of the
+N*k symmetric systems gives the refit coefficients. Within a reused_buffers
+block, as around a power cell's replications or the cells of a run_grid
+share, the recursion's (N, k) arrays are allocated once and reused by every
+call of the same shape. Each unit's deviation is studentised by its own
+bootstrap standard deviation. The null is rejected when at least one unit's
+interval excludes the cross-unit mean of the original estimates.
 
 test_constant_spatial: is the spatial effect on technical efficiency equal
 across time points? Per period, TE is mapped back to the linear scale and
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,7 +165,7 @@ def check_ar_length(p: int, t: int) -> None:
         )
 
 
-def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]:
+def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[tuple | None, tuple | None]:
     """Conditional least-squares AR(p) fits, with intercept, of every row of
     an (N, T) array.
 
@@ -172,10 +174,12 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]
     variance checks run as row masks. One np.linalg.svd call factors every
     design; estimation's rank rule runs on the singular values as a row
     mask, and each row's coefficients come from its own factors, so they
-    are those of a fit to that row alone. Returns the N fits and None, or no
-    fits and (row, error) for the first row, in row order, that fails:
-    non-finite values raise ValidationError, a flat series or a singular lag
-    design EstimationError, the latter naming the collinear columns.
+    are those of a fit to that row alone. Returns the (N, p+1) coefficients
+    (intercept, lag 1, ..., lag p), the (N, T-p) centered residuals and the
+    (N,) mse as one tuple, and None; or None and (row, error) for the first
+    row, in row order, that fails: non-finite values raise ValidationError,
+    a flat series or a singular lag design EstimationError, the latter
+    naming the collinear columns.
     """
     p = as_count(p, "ar_order_p", least=1)
     n, t = series.shape
@@ -202,29 +206,19 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[list[ARFit], tuple | None]
                 design[row], sv[row], names, f"near-singular lag matrix for AR({p})"
             )
         except EstimationError as err:
-            return [], (row, err)
+            return None, (row, err)
     if first_bad < n:
         if not finite[first_bad]:
             err = ValidationError("series contains non-finite values")
         else:
             err = EstimationError("zero-variance series: no autocorrelation to estimate")
-        return [], (first_bad, err)
+        return None, (first_bad, err)
 
     coeffs = np.einsum("nji,nj->ni", vt, np.einsum("nmj,nm->nj", u, target) / sv)
     resid = target - np.einsum("nmi,ni->nm", design, coeffs)
     centered = resid - resid.mean(axis=1, keepdims=True)
     mse = (resid**2).sum(axis=1) / (t - p - (p + 1))
-    return [
-        ARFit(
-            order=p,
-            coeffs=tuple(map(float, coeffs[i])),
-            centered_residuals=centered[i],
-            mse=float(mse[i]),
-            series_head=tuple(map(float, series[i, :p])),
-            n_obs=t,
-        )
-        for i in range(n)
-    ], None
+    return (coeffs, centered, mse), None
 
 
 def ar_fit(series, p: int) -> ARFit:
@@ -235,41 +229,45 @@ def ar_fit(series, p: int) -> ARFit:
     parameters. A singular lag design raises EstimationError naming the
     collinear columns (intercept, lag1, ..., lagp).
     """
-    fits, failure = _ar_fit_rows(np.asarray(series, dtype=float).reshape(1, -1), p)
+    series = np.asarray(series, dtype=float).reshape(1, -1)
+    fit, failure = _ar_fit_rows(series, p)
     if failure is not None:
         raise failure[1]
-    return fits[0]
-
-
-def _spectral_radius(lag_coeffs: np.ndarray) -> float:
-    """Largest root modulus of the companion polynomial: >= 1 means the
-    recursion does not decay. One lag has the single root a, so |a|."""
-    if len(lag_coeffs) == 1:
-        return abs(float(lag_coeffs[0]))
-    roots = np.roots(np.concatenate(([1.0], -np.asarray(lag_coeffs, dtype=float))))
-    return float(np.abs(roots).max()) if roots.size else 0.0
-
-
-def _stabilized(fit: ARFit) -> ARFit:
-    """Shrink an (near-)explosive fit into the stationary region for sieving.
-
-    Scaling lag j by s**j moves every companion root from r to s*r, so the
-    rescaled recursion has radius _STABILIZE_TARGET. Estimates reported to
-    the caller stay untouched; only the resampling recursion is tamed.
-    """
-    radius = _spectral_radius(fit.lag_coeffs)
-    if radius < _STABILIZE_RADIUS:
-        return fit
-    scale = _STABILIZE_TARGET / radius
-    lag = fit.lag_coeffs * scale ** np.arange(1, fit.order + 1)
+    (coeffs,), (centered,), (mse,) = fit
+    p = len(coeffs) - 1
     return ARFit(
-        order=fit.order,
-        coeffs=(fit.coeffs[0], *map(float, lag)),
-        centered_residuals=fit.centered_residuals,
-        mse=fit.mse,
-        series_head=fit.series_head,
-        n_obs=fit.n_obs,
+        order=p,
+        coeffs=tuple(map(float, coeffs)),
+        centered_residuals=centered,
+        mse=float(mse),
+        series_head=tuple(map(float, series[0, :p])),
+        n_obs=series.shape[1],
     )
+
+
+def _spectral_radius(lag: np.ndarray) -> np.ndarray:
+    """Largest companion-root modulus of each row of an (N, p) lag matrix:
+    >= 1 means that row's recursion does not decay. One lag has the single
+    root a, so |a|; more lags take np.roots row by row."""
+    if lag.shape[1] == 1:
+        return np.abs(lag[:, 0])
+    return np.array([np.abs(np.roots(np.concatenate(([1.0], -row)))).max() for row in lag])
+
+
+def _stabilized(lag: np.ndarray) -> np.ndarray:
+    """``lag``, an (N, p) lag matrix, with each (near-)explosive row shrunk in
+    place into the stationary region for sieving.
+
+    Only rows of radius at least _STABILIZE_RADIUS change: scaling lag j by
+    s**j moves every companion root from r to s*r, so a rescaled row has
+    radius _STABILIZE_TARGET. The caller passes the sieve's own copy, so the
+    estimates it reports stay untouched; only the resampling recursion is
+    tamed.
+    """
+    radius = _spectral_radius(lag)
+    rows = radius >= _STABILIZE_RADIUS
+    lag[rows] *= (_STABILIZE_TARGET / radius[rows])[:, None] ** np.arange(1, lag.shape[1] + 1)
+    return lag
 
 
 @contextmanager
@@ -323,19 +321,20 @@ def _sieve_buffers(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return buffers
 
 
-def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
+def _sieve_refit(intercepts, residuals, heads, lag, idx: np.ndarray) -> np.ndarray:
     """Highest-lag AR(p) coefficient refit to every sieve series, shape (units, k).
 
-    One recursion runs the sieves of all fits, k series each, from their
-    observed first p values. Each unit's intercept is folded into its
-    centered residuals, so at step s unit i's series starts from the entry
-    c_i + e that idx[s, i] picks in that table, and then adds the lag
-    products a_1*y_{t-1}, ..., a_p*y_{t-p} in lag order; a coefficient that
-    every unit shares, as the pooled one at p = 1, is one scalar, and its
-    row of the buffers is left as scratch. The p lagged values
-    are a ring of (units, k) arrays: each step writes the new value into the
-    array that the previous step's oldest lag left free and rotates the ring,
-    so no state is shifted or copied. Each series is emitted after
+    One recursion runs the sieves of all units, k series each, from their
+    (units, p) observed first values ``heads``, with the (units,) intercepts,
+    the (units, m) centered residuals and the (units, p) lag matrix. Each
+    unit's intercept is folded into its residuals, so at step s unit i's
+    series starts from the entry c_i + e that idx[s, i] picks in that
+    table, and then adds the lag products a_1*y_{t-1}, ..., a_p*y_{t-p} in
+    lag order; a lag column that every unit shares, as the pooled one at
+    p = 1, is one scalar, and its row of the buffers is left as scratch. The
+    p lagged values are a ring of (units, k) arrays: each step writes the
+    new value into the array that the previous step's oldest lag left free
+    and rotates the ring, so no state is shifted or copied. Each series is emitted after
     SIEVE_BURN_IN steps and regresses y_t, t >= p, on (1, y_{t-1}, ...,
     y_{t-p}). The normal equations are summed while the recursion runs, one
     row per step in time order, which is the order in which an einsum over
@@ -346,7 +345,7 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     writes into one with out=, so inside reused_buffers a replication
     allocates only the index block and the result.
     """
-    p = fits[0].order
+    p = lag.shape[1]
     q = p + 1
     steps, n, k = idx.shape
     first = SIEVE_BURN_IN + p  # the step that emits y_p, the first target
@@ -361,27 +360,26 @@ def _sieve_refit(fits: list[ARFit], idx: np.ndarray) -> np.ndarray:
     sums.fill(0.0)
     xtx = dict(zip(pairs, sums))
     xty = sums[len(pairs) :]
-    table = np.concatenate([fit.coeffs[0] + fit.centered_residuals for fit in fits])
+    table = (intercepts[:, None] + residuals).ravel()
     # per-unit constants spread over the k series: a broadcast operand would
     # make every step's passes slower
-    offsets[:] = np.cumsum([0] + [fit.centered_residuals.shape[0] for fit in fits[:-1]])[:, None]
-    lag = []
-    for j, row in enumerate(lag_rows):
-        coef = np.array([fit.coeffs[j + 1] for fit in fits])
+    offsets[:] = (np.arange(n) * residuals.shape[1])[:, None]
+    factors = []
+    for coef, row in zip(lag.T, lag_rows):
         if (coef.view(np.uint64) == coef.view(np.uint64)[0]).all():
-            lag.append(coef[0])  # every unit's: a scalar gives the same products
+            factors.append(coef[0])  # every unit's: a scalar gives the same products
         else:
             row[:] = coef[:, None]
-            lag.append(row)
+            factors.append(row)
     # ring[j] holds y_{t-1-j}; the spare array receives the next value
     for j in range(p):
-        ring[j][:] = np.array([fit.series_head[p - 1 - j] for fit in fits])[:, None]
+        ring[j][:] = heads[:, p - 1 - j, None]
     spare = ring.pop()
     for step, step_idx in enumerate(idx):
         # every position is in range by construction; "clip" only spares take
         # the buffered copy that mode="raise" makes into ``out``
         new = table.take(np.add(step_idx, offsets, out=position), out=spare, mode="clip")
-        for coef, lagged in zip(lag, ring):
+        for coef, lagged in zip(factors, ring):
             new += np.multiply(coef, lagged, out=product)
         if step >= first:
             row = (None, *ring)  # column 0 is the intercept's 1
@@ -486,27 +484,29 @@ def _unit_series(panel: PanelDataset, source: str) -> np.ndarray:
     return fit_frontier_gls(panel).innovations
 
 
-def _null_sieve_draws(fits: list[ARFit], m: int, config: TestConfig) -> np.ndarray:
+def _null_sieve_draws(series, coeffs, residuals, config: TestConfig) -> np.ndarray:
     """Bootstrap draws of each unit's highest-lag coefficient, shape (N, k).
 
-    Every unit's sieve runs with its highest-lag coefficient set to the
-    cross-unit mean, stabilized if that makes it (near-)explosive. One
+    ``coeffs`` and ``residuals`` are _ar_fit_rows' stacked fits of the
+    (N, m) ``series``, whose first p columns start the sieves. Every unit's
+    sieve runs with its highest-lag coefficient set to the cross-unit mean,
+    and the rows that this makes (near-)explosive are stabilized. One
     generator, substream "temporal-sieve", draws the innovation indices of
     all units as one time-major (steps, N, k) block in the smallest unsigned
     dtype that holds them: rng.index_block, which gives the bits of
     Generator.integers from whole chunks of raw words.
     """
-    pooled = float(np.mean([fit.highest_lag_coeff for fit in fits]))
-    null_fits = [
-        _stabilized(replace(fit, coeffs=(*fit.coeffs[:-1], pooled))) for fit in fits
-    ]
+    p = config.ar_order_p
+    n, m = series.shape
+    lag = coeffs[:, 1:].copy()
+    lag[:, -1] = np.mean(coeffs[:, -1])
     return _sieve_refit(  # no reference kept here, so the refit can free the block
-        null_fits,
+        coeffs[:, 0],
+        residuals,
+        series[:, :p],
+        _stabilized(lag),
         index_block(
-            config.seed,
-            "temporal-sieve",
-            n=m - config.ar_order_p,
-            shape=(SIEVE_BURN_IN + m, len(fits), config.n_boot_k),
+            config.seed, "temporal-sieve", n=m - p, shape=(SIEVE_BURN_IN + m, n, config.n_boot_k)
         ),
     )
 
@@ -527,19 +527,17 @@ def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestRepor
     least one unit's interval excludes the cross-unit mean of the original
     estimates.
     """
-    if panel.n_units < 2:
-        raise ValidationError("at least two spatial units required")
     check_ar_length(config.ar_order_p, panel.n_periods)
     series = _unit_series(panel, config.series_source)
-    m = panel.n_periods
 
-    fits, failure = _ar_fit_rows(series, config.ar_order_p)
+    fit, failure = _ar_fit_rows(series, config.ar_order_p)
     if failure is not None:
         row, err = failure
         raise BootstrapError(f"AR fit failed for unit {panel.unit_ids[row]!r}: {err}") from err
-    estimates = np.array([fit.highest_lag_coeff for fit in fits])
+    coeffs, residuals, _ = fit
+    estimates = coeffs[:, -1]
 
-    draws = _null_sieve_draws(fits, m, config)
+    draws = _null_sieve_draws(series, coeffs, residuals, config)
     deviations = draws - draws.mean(axis=0)
     spread = deviations.std(axis=1, ddof=1)
     if not (spread > 0).all():
@@ -581,11 +579,11 @@ def fit_spatial_slice(te_row, w_slice, z_slice) -> np.ndarray:
         raise ValidationError(
             f"w_slice has {design.shape[0]} rows for {te.shape[0]} TE values"
         )
-    bad = (te <= TE_LOWER) | (te >= 1.0)
+    bad = ~((te > TE_LOWER) & (te < 1.0))  # refuses nan too
     if bad.any():
         idx = int(np.argmax(bad))
         raise ValidationError(
-            f"technical efficiency outside (exp(-1), 1) at unit index {idx}: {te[idx]!r}"
+            f"technical efficiency outside (exp(-1), 1) at unit index {idx}: {float(te[idx])!r}"
         )
     q = 1 if np.ndim(w_slice) == 1 else np.shape(w_slice)[1]
     names = [f"w{j + 1}" for j in range(q)] + [f"z{j + 1}" for j in range(design.shape[1] - q)]

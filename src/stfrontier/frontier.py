@@ -114,10 +114,10 @@ def inefficiency_mean(w, z, gamma, phi):
 def technical_efficiency(u_pred):
     """TE = exp(-u) for predicted inefficiency u in (0,1); range (exp(-1), 1)."""
     u = np.asarray(u_pred, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        bad = u[(u <= 0.0) | (u >= 1.0)].flat[0]
+    if not (np.all(u > 0.0) and np.all(u < 1.0)):  # nan fails both
+        bad = u[~((u > 0.0) & (u < 1.0))][0]
         raise ValidationError(
-            f"inefficiency prediction {bad!r} outside (0, 1); clamp before scoring"
+            f"inefficiency prediction {float(bad)!r} outside (0, 1); clamp before scoring"
         )
     return _scalar_or_array(np.exp(-u))
 
@@ -125,10 +125,10 @@ def technical_efficiency(u_pred):
 def te_to_logit(te):
     """Invert TE back to the linear predictor: logit(-ln te) for te in (exp(-1), 1)."""
     t = np.asarray(te, dtype=float)
-    if np.any(t <= TE_LOWER) or np.any(t >= 1.0):
-        bad = t[(t <= TE_LOWER) | (t >= 1.0)].flat[0]
+    if not (np.all(t > TE_LOWER) and np.all(t < 1.0)):  # nan fails both
+        bad = t[~((t > TE_LOWER) & (t < 1.0))][0]
         raise ValidationError(
-            f"technical efficiency {bad!r} outside (exp(-1), 1); cannot invert"
+            f"technical efficiency {float(bad)!r} outside (exp(-1), 1); cannot invert"
         )
     u = -np.log(t)
     return _scalar_or_array(np.log(u) - np.log1p(-u))

@@ -57,6 +57,24 @@ def per_row_least_squares(series, p):
     return coeffs, resid - resid.mean(axis=1, keepdims=True), mse
 
 
+def stacked_fits(series, p):
+    """_ar_fit_rows' coefficients and centered residuals of rows that all fit."""
+    fit, failure = _ar_fit_rows(series, p)
+    assert failure is None
+    return fit[:2]
+
+
+def sieve_arguments(fits):
+    """_sieve_refit's intercepts, residual table, heads and lag matrix,
+    gathered from per-unit ARFit objects."""
+    return (
+        np.array([fit.coeffs[0] for fit in fits]),
+        np.stack([fit.centered_residuals for fit in fits]),
+        np.array([fit.series_head for fit in fits]),
+        np.array([fit.coeffs[1:] for fit in fits]),
+    )
+
+
 def make_ar1(rho, t, seed, sigma=1.0, intercept=0.0):
     rng = np.random.default_rng(seed)
     s = np.empty(t)
@@ -133,13 +151,14 @@ class TestArFitRows:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_batched_fits_bit_identical_to_per_row_ar_fit(self, p):
         series = fit_frontier_gls(gate_panel(6, contaminated=True)).innovations
-        fits, failure = _ar_fit_rows(series, p)
-        assert failure is None and len(fits) == series.shape[0]
-        for row, fit in zip(series, fits):
+        (coeffs, resid, mse), failure = _ar_fit_rows(series, p)
+        assert failure is None
+        assert coeffs.shape == (50, p + 1) and resid.shape == (50, 12 - p) and mse.shape == (50,)
+        for i, row in enumerate(series):
             alone = ar_fit(row, p)
-            assert fit.coeffs == alone.coeffs
-            assert np.array_equal(fit.centered_residuals, alone.centered_residuals)
-            assert fit.mse == alone.mse and fit.series_head == alone.series_head
+            assert tuple(coeffs[i]) == alone.coeffs
+            assert np.array_equal(resid[i], alone.centered_residuals)
+            assert mse[i] == alone.mse and alone.series_head == tuple(row[:p])
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("n, t, seed", [(50, 12, 1), (50, 12, 2), (20, 60, 3)])
@@ -150,12 +169,12 @@ class TestArFitRows:
         )[0]
         series = fit_frontier_gls(panel).innovations
         coeffs, resid, mse = per_row_least_squares(series, p)
-        fits, failure = _ar_fit_rows(series, p)
+        fit, failure = _ar_fit_rows(series, p)
         assert failure is None
-        for i, fit in enumerate(fits):
-            assert _normwise_error(np.array(fit.coeffs), coeffs[i]) <= 1e-12
-            assert _normwise_error(fit.centered_residuals, resid[i]) <= 1e-12
-            assert abs(fit.mse - mse[i]) <= 1e-12 * mse[i]
+        for i, (batched_coeffs, batched_resid, batched_mse) in enumerate(zip(*fit)):
+            assert _normwise_error(batched_coeffs, coeffs[i]) <= 1e-12
+            assert _normwise_error(batched_resid, resid[i]) <= 1e-12
+            assert abs(batched_mse - mse[i]) <= 1e-12 * mse[i]
 
     def test_first_failing_row_in_row_order_is_reported(self):
         rng = np.random.default_rng(3)
@@ -164,8 +183,8 @@ class TestArFitRows:
         series[2, 4] = np.nan
         series[3] = 0.5  # flat
         for row, kind in ((1, EstimationError), (2, ValidationError), (3, EstimationError)):
-            fits, (bad, err) = _ar_fit_rows(series, 2)
-            assert fits == [] and bad == row and type(err) is kind
+            fit, (bad, err) = _ar_fit_rows(series, 2)
+            assert fit is None and bad == row and type(err) is kind
             with pytest.raises(kind) as alone:
                 ar_fit(series[row], 2)
             assert str(err) == str(alone.value)
@@ -194,24 +213,83 @@ class TestArFitRows:
         assert str(raised.value) == f"AR fit failed for unit 'u{first}': {alone.value}"
 
 
+# Reference for the stacked _spectral_radius and _stabilized: the per-fit
+# versions they replaced, which took and returned one ARFit.
+
+
+def _oracle_spectral_radius(lag_coeffs: np.ndarray) -> float:
+    if len(lag_coeffs) == 1:
+        return abs(float(lag_coeffs[0]))
+    roots = np.roots(np.concatenate(([1.0], -np.asarray(lag_coeffs, dtype=float))))
+    return float(np.abs(roots).max()) if roots.size else 0.0
+
+
+def _oracle_stabilized(fit: ARFit) -> ARFit:
+    radius = _oracle_spectral_radius(fit.lag_coeffs)
+    if radius < assumption_tests._STABILIZE_RADIUS:
+        return fit
+    scale = assumption_tests._STABILIZE_TARGET / radius
+    lag = fit.lag_coeffs * scale ** np.arange(1, fit.order + 1)
+    return ARFit(
+        order=fit.order,
+        coeffs=(fit.coeffs[0], *map(float, lag)),
+        centered_residuals=fit.centered_residuals,
+        mse=fit.mse,
+        series_head=fit.series_head,
+        n_obs=fit.n_obs,
+    )
+
+
+def _lag_fit(lag):
+    """An ARFit with lag coefficients ``lag``, for the per-fit oracle."""
+    return ARFit(order=len(lag), coeffs=(0.0, *map(float, lag)), centered_residuals=np.zeros(2),
+                 mse=0.0, series_head=(0.0,) * len(lag), n_obs=12)
+
+
 class TestStabilization:
     def test_explosive_fit_rescaled_for_resampling(self):
-        explosive = ARFit(
-            order=1,
-            coeffs=(0.2, 1.1),
-            centered_residuals=np.array([-0.1, 0.1]),
-            mse=0.01,
-            series_head=(0.0,),
-            n_obs=12,
-        )
-        assert _spectral_radius(explosive.lag_coeffs) > 1
+        explosive = np.array([[1.1]])
+        assert _spectral_radius(explosive)[0] > 1
         tamed = _stabilized(explosive)
-        assert _spectral_radius(tamed.lag_coeffs) <= 0.99
-        assert tamed.coeffs[0] == explosive.coeffs[0]
+        assert _spectral_radius(tamed)[0] <= 0.99
 
     def test_stationary_fit_untouched(self):
-        fit = ar_fit(make_ar1(0.4, 30, seed=7), 1)
-        assert _stabilized(fit) is fit
+        coeffs, _ = stacked_fits(make_ar1(0.4, 30, seed=7)[None], 1)
+        lag = coeffs[:, 1:].copy()
+        assert np.array_equal(_stabilized(lag), coeffs[:, 1:])
+
+    def test_reported_estimates_are_the_fits_not_the_sieved_lags(self):
+        # every unit explodes at 1.1, so the pooled lag is rescaled for the sieve
+        rng = np.random.default_rng(5)
+        y = np.empty((6, 30))
+        y[:, 0] = rng.normal(size=6)
+        for s in range(1, 30):
+            y[:, s] = 1.1 * y[:, s - 1] + rng.normal(size=6)
+        panel = PanelDataset(log_output=y, log_inputs=rng.normal(size=(6, 30, 1)),
+                             spatial=rng.normal(size=(6, 30, 1)),
+                             covariates=rng.normal(size=(6, 30, 1)))
+        coeffs, _ = stacked_fits(y, 1)
+        assert coeffs[:, 1].mean() >= assumption_tests._STABILIZE_RADIUS
+        config = TestConfig(n_boot_k=100, seed=1, series_source="log_output")
+        report = run_temporal_test(panel, config)
+        assert report.per_block_estimate == tuple(coeffs[:, 1])
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_only_explosive_rows_change_as_the_oracle_gives_them(self, p):
+        # every third row is explosive: a first lag of 1.3-1.8 against small
+        # others; at p = 1 two rows sit just at and just below the threshold
+        rng = np.random.default_rng(30 + p)
+        lag = rng.uniform(-0.3, 0.3, size=(42, p)) / p
+        lag[::3, 0] = rng.choice([-1.0, 1.0], size=14) * rng.uniform(1.3, 1.8, size=14)
+        if p == 1:
+            lag[1:3, 0] = assumption_tests._STABILIZE_RADIUS, np.nextafter(0.999, 0.0)
+        changes = np.array([_oracle_spectral_radius(row) >= 0.999 for row in lag])
+        assert changes.tolist() == [i % 3 == 0 or (p, i) == (1, 1) for i in range(42)]
+        tamed = _stabilized(lag.copy())
+        for row, tamed_row in zip(lag, tamed):
+            assert np.array_equal(tamed_row, _oracle_stabilized(_lag_fit(row)).lag_coeffs)
+        assert np.array_equal(tamed[~changes], lag[~changes])
+        assert (tamed[changes] != lag[changes]).any(axis=1).all()
 
 
 def _roots_radius(lag_coeffs):
@@ -223,13 +301,20 @@ def _roots_radius(lag_coeffs):
 class TestSpectralRadius:
     @pytest.mark.parametrize("a", [0.0, -0.0, 0.3, -0.3, 0.999, -0.999, 1.2, -1.2, 0.1 + 0.2])
     def test_one_lag_closed_form_equals_np_roots(self, a):
-        assert _spectral_radius(np.array([a])) == _roots_radius([a])
+        assert _spectral_radius(np.array([[a]]))[0] == _roots_radius([a])
 
     @pytest.mark.parametrize(
         "lag", [(0.5, 0.3), (1.2, -0.5), (0.0, 0.0), (0.1, 0.2, 0.3), (1.5, -0.2, 0.4)]
     )
     def test_higher_orders_use_np_roots(self, lag):
-        assert _spectral_radius(np.array(lag)) == _roots_radius(lag)
+        assert _spectral_radius(np.array([lag]))[0] == _roots_radius(lag)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_each_row_equals_the_per_fit_oracle(self, p):
+        lag = np.random.default_rng(p).uniform(-1.5, 1.5, size=(25, p))
+        radius = _spectral_radius(lag)
+        assert radius.shape == (25,)
+        assert radius.tolist() == [_oracle_spectral_radius(row) for row in lag]
 
 
 # Reference for the unit-batched sieve: a per-unit recursion and an einsum
@@ -293,10 +378,11 @@ def _oracle_null_series(fits, m, config, idx):
     pooled = float(np.mean([fit.highest_lag_coeff for fit in fits]))
     for i, fit in enumerate(fits):
         null_fit = replace(fit, coeffs=(*fit.coeffs[:-1], pooled))
-        yield _oracle_sieve_batch(_stabilized(null_fit), m, idx[:, i, :].T)
+        yield _oracle_sieve_batch(_oracle_stabilized(null_fit), m, idx[:, i, :].T)
 
 
 def _oracle_null_draws(fits, m, config, idx):
+    """The (units, k) null draws, unit by unit, from per-unit ARFit objects."""
     return np.stack(
         [_oracle_ar_refit_batch(batch, config.ar_order_p)
          for batch in _oracle_null_series(fits, m, config, idx)]
@@ -373,18 +459,20 @@ class TestBatchedSieve:
     )
     def test_ar1_draws_equal_per_unit_oracle(self, seed, contaminated):
         panel = gate_panel(seed, contaminated)
-        fits = [ar_fit(s, 1) for s in fit_frontier_gls(panel).innovations]
+        series = fit_frontier_gls(panel).innovations
+        fits = [ar_fit(s, 1) for s in series]
         config = TestConfig(n_boot_k=500, seed=100 + seed)
-        batched = _null_sieve_draws(fits, panel.n_periods, config)
+        batched = _null_sieve_draws(series, *stacked_fits(series, 1), config)
         idx = _index_block(config, len(fits), panel.n_periods)
         assert np.array_equal(batched, _oracle_null_draws(fits, panel.n_periods, config, idx))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_higher_order_draws_match_oracle(self, p):
         panel = gate_panel(6, contaminated=True)
-        fits = [ar_fit(s, p) for s in fit_frontier_gls(panel).innovations]
+        series = fit_frontier_gls(panel).innovations
+        fits = [ar_fit(s, p) for s in series]
         config = TestConfig(ar_order_p=p, n_boot_k=500, seed=7)
-        batched = _null_sieve_draws(fits, panel.n_periods, config)
+        batched = _null_sieve_draws(series, *stacked_fits(series, p), config)
         idx = _index_block(config, len(fits), panel.n_periods)
         assert np.array_equal(batched, _oracle_null_draws(fits, panel.n_periods, config, idx))
 
@@ -403,7 +491,7 @@ class TestBatchedSieve:
         idx = np.random.default_rng(0).integers(
             0, 11, size=(SIEVE_BURN_IN + 12, 2, 100), dtype=np.uint8
         )
-        batched = _sieve_refit(fits, idx)
+        batched = _sieve_refit(*sieve_arguments(fits), idx)
         oracle = [
             _oracle_ar_refit_batch(_oracle_sieve_batch(fit, 12, idx[:, i, :].T), 1)
             for i, fit in enumerate(fits)
@@ -412,9 +500,10 @@ class TestBatchedSieve:
 
     def test_single_series_uses_the_same_recursion(self):
         # one unit is its own pooled mean, so its null fit is the fit itself
-        fit = ar_fit(make_ar1(0.5, 12, seed=8), 1)
+        series = make_ar1(0.5, 12, seed=8)[None]
+        fit = ar_fit(series[0], 1)
         config = TestConfig(n_boot_k=200, seed=9)
-        batched = _null_sieve_draws([fit], 12, config)
+        batched = _null_sieve_draws(series, *stacked_fits(series, 1), config)
         idx = _index_block(config, 1, 12)
         assert batched.shape == (1, 200)
         assert np.array_equal(batched, _oracle_null_draws([fit], 12, config, idx))
@@ -422,49 +511,44 @@ class TestBatchedSieve:
     def test_zero_residuals_give_deterministic_recursion(self):
         # with no innovations every sieve series is the same noiseless AR(1)
         # path from the observed head, which the refit reproduces exactly
-        flat = ARFit(
-            order=1,
-            coeffs=(0.3, 0.95),
-            centered_residuals=np.zeros(19),
-            mse=0.0,
-            series_head=(10.0,),
-            n_obs=20,
-        )
-        draws = _null_sieve_draws([flat], 20, TestConfig(n_boot_k=100, seed=1))
+        series = np.full((1, 20), 10.0)  # only the head and the length are read
+        coeffs, residuals = np.array([[0.3, 0.95]]), np.zeros((1, 19))
+        draws = _null_sieve_draws(series, coeffs, residuals, TestConfig(n_boot_k=100, seed=1))
         assert np.array_equal(draws, np.full_like(draws, draws[0, 0]))
         assert abs(draws[0, 0] - 0.95) < 1e-9
 
     def test_same_seed_identical(self):
-        fits = [ar_fit(make_ar1(0.5, 25, seed=s), 1) for s in range(3)]
-        a = _null_sieve_draws(fits, 25, TestConfig(n_boot_k=100, seed=12))
-        b = _null_sieve_draws(fits, 25, TestConfig(n_boot_k=100, seed=12))
+        series = np.stack([make_ar1(0.5, 25, seed=s) for s in range(3)])
+        fits = stacked_fits(series, 1)
+        a = _null_sieve_draws(series, *fits, TestConfig(n_boot_k=100, seed=12))
+        b = _null_sieve_draws(series, *fits, TestConfig(n_boot_k=100, seed=12))
         np.testing.assert_array_equal(a, b)
-        c = _null_sieve_draws(fits, 25, TestConfig(n_boot_k=100, seed=13))
+        c = _null_sieve_draws(series, *fits, TestConfig(n_boot_k=100, seed=13))
         assert not np.array_equal(a, c)
 
     def test_nonstationary_pooled_fit_is_stabilized(self):
         # a pooled coefficient of 1.05 is sieved at radius 0.98, so the refits
         # centre below 1; sieving the explosive fit itself gives about 1.03
-        fits = [
-            replace(ar_fit(make_ar1(0.5, 30, seed=s), 1), coeffs=(0.1, 1.05)) for s in range(3)
-        ]
-        draws = _null_sieve_draws(fits, 30, TestConfig(n_boot_k=200, seed=2))
+        series = np.stack([make_ar1(0.5, 30, seed=s) for s in range(3)])
+        coeffs, residuals = stacked_fits(series, 1)
+        coeffs[:] = (0.1, 1.05)
+        draws = _null_sieve_draws(series, coeffs, residuals, TestConfig(n_boot_k=200, seed=2))
         assert np.isfinite(draws).all()
         assert (draws.mean(axis=1) < 1.0).all()
 
     @pytest.mark.parametrize("t, dtype", [(257, np.uint8), (258, np.uint16)])
     def test_index_block_is_one_time_major_draw_in_smallest_dtype(self, monkeypatch, t, dtype):
         # p = 1 leaves t - 1 residuals: 256 fit in uint8, 257 need uint16
-        fits = [ar_fit(make_ar1(0.4, t, seed=s), 1) for s in range(3)]
+        series = np.stack([make_ar1(0.4, t, seed=s) for s in range(3)])
         config = TestConfig(n_boot_k=100, seed=1)
         seen = []
 
-        def record(null_fits, idx):
+        def record(intercepts, residuals, heads, lag, idx):
             seen.append(idx.copy())
-            return np.zeros((len(null_fits), idx.shape[2]))
+            return np.zeros((len(intercepts), idx.shape[2]))
 
         monkeypatch.setattr(assumption_tests, "_sieve_refit", record)
-        _null_sieve_draws(fits, t, config)
+        _null_sieve_draws(series, *stacked_fits(series, 1), config)
         (idx,) = seen
         assert idx.shape == (SIEVE_BURN_IN + t, 3, 100) and idx.dtype == dtype
         assert idx.min() == 0 and idx.max() == t - 2
@@ -474,9 +558,10 @@ class TestBatchedSieve:
         # long AR(1) units: each unit's draws sit near the pooled coefficient
         # the null imposes, with about the asymptotic spread sqrt((1 - a**2)/T)
         t = 200
-        fits = [ar_fit(make_ar1(rho, t, seed=20 + i), 1) for i, rho in enumerate((0.4, 0.6, 0.8))]
-        pooled = np.mean([fit.highest_lag_coeff for fit in fits])
-        draws = _null_sieve_draws(fits, t, TestConfig(n_boot_k=200, seed=4))
+        series = np.stack([make_ar1(rho, t, seed=20 + i) for i, rho in enumerate((0.4, 0.6, 0.8))])
+        coeffs, residuals = stacked_fits(series, 1)
+        pooled = coeffs[:, -1].mean()
+        draws = _null_sieve_draws(series, coeffs, residuals, TestConfig(n_boot_k=200, seed=4))
         assert np.abs(draws.mean(axis=1) - pooled).max() < 0.05
         ratio = draws.std(axis=1) / np.sqrt((1 - pooled**2) / t)
         assert ((0.5 < ratio) & (ratio < 2.0)).all()
@@ -496,13 +581,15 @@ class TestBatchedSieve:
 
 class TestReusedBuffers:
     @staticmethod
-    def _gate_fits(seed, n_units, p):
+    def _gate_series(seed, n_units):
         panel = gate_panel(seed, contaminated=seed % 2 == 1)
-        return [ar_fit(s, p) for s in fit_frontier_gls(panel).innovations[:n_units]]
+        return fit_frontier_gls(panel).innovations[:n_units]
 
-    def _assert_draws_equal_oracle(self, fits, config):
-        draws = _null_sieve_draws(fits, 12, config)
-        idx = _index_block(config, len(fits), 12)
+    def _assert_draws_equal_oracle(self, series, config):
+        p = config.ar_order_p
+        draws = _null_sieve_draws(series, *stacked_fits(series, p), config)
+        idx = _index_block(config, len(series), 12)
+        fits = [ar_fit(s, p) for s in series]
         assert np.array_equal(draws, _oracle_null_draws(fits, 12, config, idx))
 
     def test_consecutive_draws_in_one_scope_equal_oracle(self):
@@ -512,7 +599,7 @@ class TestReusedBuffers:
         with reused_buffers():
             for seed, n_units, k, p in runs:
                 config = TestConfig(ar_order_p=p, n_boot_k=k, seed=100 + seed)
-                self._assert_draws_equal_oracle(self._gate_fits(seed, n_units, p), config)
+                self._assert_draws_equal_oracle(self._gate_series(seed, n_units), config)
 
     def test_singular_unit_falls_back_in_a_scope(self):
         # the elimination must leave the reused sums intact for lstsq
@@ -528,7 +615,7 @@ class TestReusedBuffers:
         expected = np.stack([_oracle_ar_refit_batch(good, 1), lstsq])
         with reused_buffers():
             for _ in range(2):
-                assert np.array_equal(_sieve_refit(fits, idx), expected)
+                assert np.array_equal(_sieve_refit(*sieve_arguments(fits), idx), expected)
 
     def test_set_is_kept_per_key_in_a_scope_only(self):
         assert _sieve_buffers(50, 100, 1) is not _sieve_buffers(50, 100, 1)
@@ -541,16 +628,16 @@ class TestReusedBuffers:
 
     def test_outer_scope_usable_after_an_inner_one(self):
         config = TestConfig(n_boot_k=500, seed=11)
-        fits = self._gate_fits(1, 50, 1)
+        series = self._gate_series(1, 50)
         with reused_buffers():
-            self._assert_draws_equal_oracle(fits, config)
+            self._assert_draws_equal_oracle(series, config)
             held = _sieve_buffers(50, 500, 1)
             with reused_buffers():
-                self._assert_draws_equal_oracle(self._gate_fits(2, 20, 2),
+                self._assert_draws_equal_oracle(self._gate_series(2, 20),
                                                 TestConfig(ar_order_p=2, n_boot_k=300, seed=12))
                 assert _sieve_buffers(50, 500, 1) is not held
             assert _sieve_buffers(50, 500, 1) is held
-            self._assert_draws_equal_oracle(fits, config)
+            self._assert_draws_equal_oracle(series, config)
 
     def test_scope_is_per_thread(self):
         seen = []
@@ -560,6 +647,30 @@ class TestReusedBuffers:
             worker.start()
             worker.join()
         assert seen[0] is not held
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_elimination_takes_every_array_from_the_sieve(self, monkeypatch, p):
+        # the elimination writes its q(q-1)/2 + q + 1 arrays into the scratch
+        # the sieve hands it and allocates only its (50, 500) result and a few
+        # boolean masks; one array more than that is another 200 kB
+        series = self._gate_series(6, 50)
+        config = TestConfig(ar_order_p=p, n_boot_k=500, seed=5)
+        peaks = []
+
+        def measured(a, b, scratch=()):
+            tracemalloc.start()
+            try:
+                last = _last_coefficient(a, b, scratch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return last
+
+        monkeypatch.setattr(assumption_tests, "_last_coefficient", measured)
+        with reused_buffers():
+            for _ in range(2):
+                draws = _null_sieve_draws(series, *stacked_fits(series, p), config)
+        assert len(peaks) == 2 and max(peaks) <= 1.5 * draws.nbytes
 
     def test_later_replication_in_a_scope_allocates_little(self):
         # bound fixed before the first run: the 1.55 MB index block and a few

@@ -95,10 +95,17 @@ class TestTechnicalEfficiency:
         assert technical_efficiency(1 - 1e-12) == pytest.approx(math.exp(-1), abs=1e-9)
         assert technical_efficiency(1 - 1e-12) > TE_LOWER
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.2])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.2, math.nan])
     def test_domain_error(self, bad):
         with pytest.raises(ValidationError, match="outside"):
             technical_efficiency(bad)
+
+    @pytest.mark.parametrize("bad, shown", [(1.2, "1.2"), (math.nan, "nan")])
+    def test_domain_error_names_the_first_bad_value_as_a_float(self, bad, shown):
+        u = np.array([[0.5, 0.3], [bad, 2.0]])
+        with pytest.raises(ValidationError) as raised:
+            technical_efficiency(u)
+        assert str(raised.value).startswith(f"inefficiency prediction {shown} outside (0, 1)")
 
     def test_vectorized(self):
         u = np.array([0.2, 0.5, 0.9])
@@ -126,10 +133,17 @@ class TestTeToLogit:
         te = np.exp(-expit(eta))
         np.testing.assert_allclose(te_to_logit(te), eta, atol=1e-10)
 
-    @pytest.mark.parametrize("bad", [math.exp(-1), 1.0, 0.2, 1.5])
+    @pytest.mark.parametrize("bad", [math.exp(-1), 1.0, 0.2, 1.5, math.nan])
     def test_domain_error(self, bad):
         with pytest.raises(ValidationError, match="outside"):
             te_to_logit(bad)
+
+    @pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (math.nan, "nan")])
+    def test_domain_error_names_the_first_bad_value_as_a_float(self, bad, shown):
+        te = np.array([0.8, bad, 0.1])
+        with pytest.raises(ValidationError) as raised:
+            te_to_logit(te)
+        assert str(raised.value).startswith(f"technical efficiency {shown} outside (exp(-1), 1)")
 
     def test_exact_inverse_of_te_composition(self):
         # te_to_logit inverts technical_efficiency(inefficiency_mean(...))

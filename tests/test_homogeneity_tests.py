@@ -188,6 +188,15 @@ class TestSpatialSlice:
         with pytest.raises(ValidationError, match="unit index 7"):
             fit_spatial_slice(te, w, w**2)
 
+    @pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (np.nan, "nan")])
+    def test_te_not_strictly_inside_the_range_is_refused(self, bad, shown):
+        w = np.linspace(-1, 1, 10)[:, None]
+        te = np.full(10, 0.8)
+        te[[4, 6]] = bad
+        with pytest.raises(ValidationError) as raised:
+            fit_spatial_slice(te, w, w**2)
+        assert str(raised.value).endswith(f"at unit index 4: {shown}")
+
     def test_zero_profile_rank_deficient(self):
         te = np.full(10, 0.8)
         z = np.linspace(-1, 1, 10)[:, None]

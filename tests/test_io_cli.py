@@ -1284,6 +1284,29 @@ class TestCli:
             reports.append(payload)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_spatial_te_outside_its_range_is_refused(self, tmp_path, scenario_file, capsys, value):
+        # a nan cell used to pass the range check and give nan intervals
+        panel_csv = tmp_path / "panel.csv"
+        te_csv = tmp_path / "te.csv"
+        parse_and_dispatch(["simulate", "--scenario", str(scenario_file), "--out", str(panel_csv)])
+        parse_and_dispatch(
+            ["estimate", "--panel", str(panel_csv), "--out", str(tmp_path / "e.json"),
+             "--te-out", str(te_csv)]
+        )
+        lines = te_csv.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("2,3,"))
+        lines[row] = f"2,3,{value}"
+        te_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.json"
+        code = parse_and_dispatch(
+            ["test-spatial", "--panel", str(panel_csv), "--te", str(te_csv),
+             "--boot-k", "150", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"at unit index 2: {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spatial_te_label_mismatch_named(self, tmp_path, scenario_file, capsys):
         panel_csv = tmp_path / "panel.csv"
         te_csv = tmp_path / "te.csv"
