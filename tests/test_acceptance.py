@@ -4,6 +4,10 @@ The Monte Carlo cells are shared across criteria through a lazy cache, so the
 whole gate costs one pass over the pinned grid (minutes, not hours). Criteria
 1-3 exercise the temporal homogeneity test at its pinned operating point; see
 the decisions ledger for the measured analysis of that test's behavior.
+
+Guard 10 is not a criterion: it checks the temporal test's power at T=60,
+where the test has power, so that a change which loses it fails here even
+though the gate's T=12 rates all sit near alpha (ledger D21).
 """
 
 import math
@@ -41,8 +45,8 @@ ALPHA = 0.05
 _cells: dict = {}
 
 
-def _report(num: int, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
+def _report(num: int, ok: bool, detail: str, label: str = "ACCEPTANCE") -> None:
+    print(f"{label} {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
 def cell_rate(kind: str, fraction: float, shift: float) -> float:
@@ -258,3 +262,23 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks.append("collinear AR lags")
 
     _report(9, True, f"degenerate inputs raise named errors ({len(checks)} cases)")
+
+
+def test_guard_10_temporal_power_at_t60():
+    # seed and bound fixed before the first run: 0.85 sits about 4.5 binomial
+    # SE below the 0.94-0.96 measured at this point on another seed
+    scenario = Scenario(
+        n_units=50,
+        n_periods=60,
+        dominance="equal",
+        contamination_fraction=0.1,
+        temporal_shift_r=1.5,
+        base_params=default_power_params(),
+        seed=0,
+    )
+    cell = run_power_cell(scenario, "temporal", 120, 2104135, boot_k=BOOT_K, alpha=ALPHA)
+    rate = cell.rejection_rate
+    ok = rate >= 0.85
+    _report(10, ok, f"temporal power at (n=50, T=60, equal), r=1.5, 10% units = {rate:.3f}, "
+            "need >= 0.85", label="GUARD")
+    assert ok, f"temporal power {rate:.3f} < 0.85 at T=60, r=1.5"
