@@ -10,27 +10,30 @@ replicates of the largest (temporal) or k-th largest (spatial) scaled absolute
 deviation. Without this, N unguarded intervals reject far more often than
 alpha under the null.
 
-test_constant_temporal: are the units' autocorrelation coefficients equal?
-All units' series (frontier residuals by default) are fit an AR(p) in one
-pass: their lag designs are stacked, checked as row masks, and factored by
-one batched SVD, so each fit equals a fit to that series alone; the fits
-stay stacked arrays up to the refit. Each unit's AR-sieve bootstrap
-(Buehlmann 1997) then runs with the highest-lag coefficient set to the
-cross-unit mean, so the resamples obey the null: that column of the (N, p)
-lag matrix takes the pooled value, and only the rows this makes
-(near-)explosive are rescaled. Each sieve rebuilds k series from the unit's
-centered fit residuals; each is refit. The sieves of all units run as one
-recursion over N*k series: one generator draws their innovation indices as
-a single block, by Lemire's rule on chunks of its raw words
-(rng.index_block, bit for bit Generator.integers), the lagged values rotate
-through a ring of arrays, and the refit's normal equations are summed while
-the recursion runs, so no sieve series is stored. Forward elimination of the
-N*k symmetric systems gives the refit coefficients. Within a reused_buffers
-block, as around a power cell's replications or the cells of a run_grid
-share, the recursion's (N, k) arrays are allocated once and reused by every
-call of the same shape. Each unit's deviation is studentised by its own
-bootstrap standard deviation. The null is rejected when at least one unit's
-interval excludes the cross-unit mean of the original estimates.
+test_constant_temporal: do the units share one lag-1 autocorrelation
+coefficient? The model's noise is AR(1), so every unit's series (frontier
+residuals by default) is fit an AR(1) with intercept, all in one pass: their
+lag designs are stacked, checked as row masks, and factored by one batched
+SVD, so each fit equals a fit to that series alone; the fits stay stacked
+arrays up to the refit. Each unit's AR-sieve bootstrap (Buehlmann 1997) then
+runs with its coefficient set to the cross-unit mean, so the resamples obey
+the null; that one pooled value is shrunk first if it is (near-)explosive.
+Each sieve rebuilds k series from the unit's centered fit residuals; each is
+refit. The sieves of all units run as one recursion over N*k series: one
+generator draws their innovation indices as a single block, by Lemire's rule
+on chunks of its raw words (rng.index_block, bit for bit
+Generator.integers), the lagged and the new value swap between two arrays,
+and the refit's four sums are accumulated while the recursion runs, so no
+sieve series is stored. One elimination step of the N*k 2x2 normal equations
+gives the refit coefficients. Within a reused_buffers block, as around a
+power cell's replications or the cells of a run_grid share, the recursion's
+(N, k) arrays are allocated once and reused by every call of the same shape.
+Each unit's deviation is studentised by its own bootstrap standard
+deviation. The null is rejected when at least one unit's interval excludes
+the cross-unit mean of the original estimates. The order is fixed at 1: at a
+higher order the test would compare each unit's highest-lag coefficient,
+which is near 0 whatever the unit's lag-1 coefficient, and it had no power
+(ledger D21 in CHANGES.md).
 
 test_constant_spatial: is the spatial effect on technical efficiency equal
 across time points? Per period, TE is mapped back to the linear scale and
@@ -61,7 +64,7 @@ from .types import PanelDataset, as_count
 #: Values drawn and discarded before a sieve series is emitted.
 SIEVE_BURN_IN = 50
 
-#: Spectral radius beyond which a fitted AR recursion is rescaled before sieving.
+#: |lag-1 coefficient| from which the pooled AR(1) is rescaled before sieving.
 _STABILIZE_RADIUS = 0.999
 _STABILIZE_TARGET = 0.98
 
@@ -82,7 +85,6 @@ _held = threading.local()
 class TestConfig:
     """Knobs shared by both bootstrap tests."""
 
-    ar_order_p: int = 1
     n_boot_k: int = 500
     alpha: float = 0.05
     series_source: str = "frontier_residuals"
@@ -91,8 +93,7 @@ class TestConfig:
     __test__ = False  # not a pytest class
 
     def __post_init__(self):
-        for name, least in (("ar_order_p", 1), ("n_boot_k", 100)):
-            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
+        object.__setattr__(self, "n_boot_k", as_count(self.n_boot_k, "n_boot_k", 100))
         alpha = float(self.alpha)
         if not 0.0 < alpha < 0.5:
             raise ValidationError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -135,55 +136,42 @@ class TestReport:
 
 @dataclass(frozen=True)
 class ARFit:
-    """Conditional least-squares AR(p) fit with intercept."""
+    """Conditional least-squares AR(1) fit with intercept."""
 
-    order: int
-    coeffs: tuple[float, ...]  # intercept, lag 1, ..., lag p
+    intercept: float
+    rho: float  # the lag-1 coefficient
     centered_residuals: np.ndarray
     mse: float
-    series_head: tuple[float, ...]  # first p observed values, used to start a sieve
     n_obs: int  # length of the fitted series
 
-    @property
-    def lag_coeffs(self) -> np.ndarray:
-        return np.asarray(self.coeffs[1:])
 
-    @property
-    def highest_lag_coeff(self) -> float:
-        return self.coeffs[-1]
+def check_ar_length(t: int) -> None:
+    """The one length rule for an AR(1) fit: the series needs T > 4 values.
 
-
-def check_ar_length(p: int, t: int) -> None:
-    """The one length rule for an AR(p) fit: the series needs T > 3p+1 values.
-
-    The temporal test and GridSpec check it up front, so a panel too short for
-    its AR order is a ValidationError and not a failure in every unit.
+    The temporal test and GridSpec check it up front, so a panel too short
+    is a ValidationError and not a failure in every unit.
     """
-    if t <= 3 * p + 1:
-        raise ValidationError(
-            f"series too short for AR({p}): need T > 3p+1 = {3 * p + 1}, got T={t}"
-        )
+    if t <= 4:
+        raise ValidationError(f"series too short for AR(1): need T > 4, got T={t}")
 
 
-def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[tuple | None, tuple | None]:
-    """Conditional least-squares AR(p) fits, with intercept, of every row of
+def _ar_fit_rows(series: np.ndarray) -> tuple[tuple | None, tuple | None]:
+    """Conditional least-squares AR(1) fits, with intercept, of every row of
     an (N, T) array.
 
-    p is a count >= 1, checked as TestConfig.ar_order_p is. The rows' lag
-    designs are stacked as one (N, T-p, p+1) array, and the finite and
-    variance checks run as row masks. One np.linalg.svd call factors every
-    design; estimation's rank rule runs on the singular values as a row
-    mask, and each row's coefficients come from its own factors, so they
-    are those of a fit to that row alone. Returns the (N, p+1) coefficients
-    (intercept, lag 1, ..., lag p), the (N, T-p) centered residuals and the
+    The rows' lag designs are stacked as one (N, T-1, 2) array, and the
+    finite and variance checks run as row masks. One np.linalg.svd call
+    factors every design; estimation's rank rule runs on the singular values
+    as a row mask, and each row's coefficients come from its own factors, so
+    they are those of a fit to that row alone. Returns the (N, 2)
+    coefficients (intercept, lag 1), the (N, T-1) centered residuals and the
     (N,) mse as one tuple, and None; or None and (row, error) for the first
     row, in row order, that fails: non-finite values raise ValidationError,
     a flat series or a singular lag design EstimationError, the latter
     naming the collinear columns.
     """
-    p = as_count(p, "ar_order_p", least=1)
     n, t = series.shape
-    check_ar_length(p, t)
+    check_ar_length(t)
     finite = np.isfinite(series).all(axis=1)
     with np.errstate(invalid="ignore"):  # inf - inf in the variance of a bad row
         flat = series.var(axis=1) < 1e-12
@@ -191,19 +179,17 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[tuple | None, tuple | None
     first_bad = int(np.argmax(bad)) if bad.any() else n
 
     # rows from the first bad one on are never fit
-    design = np.empty((first_bad, t - p, p + 1))
+    design = np.empty((first_bad, t - 1, 2))
     design[..., 0] = 1.0
-    for j in range(1, p + 1):
-        design[..., j] = series[:first_bad, p - j : t - j]
-    target = series[:first_bad, p:]
+    design[..., 1] = series[:first_bad, :-1]
+    target = series[:first_bad, 1:]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    singular = np.flatnonzero(_rank(sv, design.shape[1:]) < p + 1)
+    singular = np.flatnonzero(_rank(sv, design.shape[1:]) < 2)
     if singular.size:
         row = int(singular[0])
-        names = ["intercept"] + [f"lag{j}" for j in range(1, p + 1)]
         try:
             _require_full_rank(
-                design[row], sv[row], names, f"near-singular lag matrix for AR({p})"
+                design[row], sv[row], ["intercept", "lag1"], "near-singular lag matrix for AR(1)"
             )
         except EstimationError as err:
             return None, (row, err)
@@ -217,57 +203,46 @@ def _ar_fit_rows(series: np.ndarray, p: int) -> tuple[tuple | None, tuple | None
     coeffs = np.einsum("nji,nj->ni", vt, np.einsum("nmj,nm->nj", u, target) / sv)
     resid = target - np.einsum("nmi,ni->nm", design, coeffs)
     centered = resid - resid.mean(axis=1, keepdims=True)
-    mse = (resid**2).sum(axis=1) / (t - p - (p + 1))
+    mse = (resid**2).sum(axis=1) / (t - 3)
     return (coeffs, centered, mse), None
 
 
-def ar_fit(series, p: int) -> ARFit:
-    """Fit an AR(p) with intercept by conditional least squares.
+def ar_fit(series) -> ARFit:
+    """Fit an AR(1) with intercept to one series by conditional least squares.
 
-    The one-row case of the temporal test's fitter. Residuals are centered to
-    mean zero; mse is the regression mean squared error with p+1 fitted
-    parameters. A singular lag design raises EstimationError naming the
-    collinear columns (intercept, lag1, ..., lagp).
+    The one-row case of the temporal test's fitter. ``series`` is one 1-D
+    series; any other shape is a ValidationError, so several units' rows are
+    not read as one long series. Residuals are centered to mean zero; mse is
+    the regression mean squared error with 2 fitted parameters. A singular
+    lag design raises EstimationError naming the collinear columns
+    (intercept, lag1).
     """
-    series = np.asarray(series, dtype=float).reshape(1, -1)
-    fit, failure = _ar_fit_rows(series, p)
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise ValidationError(f"ar_fit takes one 1-D series, got shape {series.shape}")
+    fit, failure = _ar_fit_rows(series[None])
     if failure is not None:
         raise failure[1]
-    (coeffs,), (centered,), (mse,) = fit
-    p = len(coeffs) - 1
+    ((intercept, rho),), (centered,), (mse,) = fit
     return ARFit(
-        order=p,
-        coeffs=tuple(map(float, coeffs)),
+        intercept=float(intercept),
+        rho=float(rho),
         centered_residuals=centered,
         mse=float(mse),
-        series_head=tuple(map(float, series[0, :p])),
-        n_obs=series.shape[1],
+        n_obs=series.shape[0],
     )
 
 
-def _spectral_radius(lag: np.ndarray) -> np.ndarray:
-    """Largest companion-root modulus of each row of an (N, p) lag matrix:
-    >= 1 means that row's recursion does not decay. One lag has the single
-    root a, so |a|; more lags take np.roots row by row."""
-    if lag.shape[1] == 1:
-        return np.abs(lag[:, 0])
-    return np.array([np.abs(np.roots(np.concatenate(([1.0], -row)))).max() for row in lag])
-
-
-def _stabilized(lag: np.ndarray) -> np.ndarray:
-    """``lag``, an (N, p) lag matrix, with each (near-)explosive row shrunk in
-    place into the stationary region for sieving.
-
-    Only rows of radius at least _STABILIZE_RADIUS change: scaling lag j by
-    s**j moves every companion root from r to s*r, so a rescaled row has
-    radius _STABILIZE_TARGET. The caller passes the sieve's own copy, so the
-    estimates it reports stay untouched; only the resampling recursion is
-    tamed.
+def _stabilized(rho: float) -> float:
+    """The pooled lag-1 coefficient the sieves run with: ``rho`` itself, or,
+    when |rho| is at least _STABILIZE_RADIUS, ``rho`` shrunk to modulus
+    _STABILIZE_TARGET, so the resampling recursion decays. Only the sieve
+    sees the result; the estimates reported stay untouched.
     """
-    radius = _spectral_radius(lag)
-    rows = radius >= _STABILIZE_RADIUS
-    lag[rows] *= (_STABILIZE_TARGET / radius[rows])[:, None] ** np.arange(1, lag.shape[1] + 1)
-    return lag
+    radius = abs(rho)
+    if radius >= _STABILIZE_RADIUS:
+        return rho * (_STABILIZE_TARGET / radius)
+    return rho
 
 
 @contextmanager
@@ -276,7 +251,7 @@ def reused_buffers():
     the block runs.
 
     Inside the block _sieve_refit takes them from one set, keyed by
-    (N, k, p), which its first call allocates and later calls with the same
+    (N, k), which its first call allocates and later calls with the same
     key reuse; a call with another key replaces the set. Outside any block
     each call allocates its own. An inner block starts with no set, and on
     exit the enclosing block's set, if any, is restored; run_power_cell
@@ -298,151 +273,103 @@ def holds_buffers() -> bool:
     return getattr(_held, "buffers", None) is not None
 
 
-def _sieve_buffers(n: int, k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """_sieve_refit's working arrays: a float block and a (2, n, k) intp one.
+def _sieve_buffers(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_sieve_refit's working arrays: a (7, n, k) float block and a (2, n, k)
+    intp one.
 
-    With q = p+1, the float block holds, in order: the p lag coefficients,
-    the ring's q lagged values, one product, p(p-1)/2 extra scratch arrays,
-    and the normal equations' sums, q(q+1)/2 - 1 entries of X'X and q of
-    X'y. The elimination takes a factor, a product and the first updates of
-    the rows below the first, q(q-1)/2 + q + 1 arrays in all, which is the
-    2q the recursion leaves free plus the extra ones.
+    The float block holds the lagged and the new value, one product, and the
+    normal equations' four sums. After the recursion the first three are
+    free, and the elimination writes into them.
     """
     held = getattr(_held, "buffers", None)
-    if held is not None and (n, k, p) in held:
-        return held[n, k, p]
-    q = p + 1
-    n_floats = p + q + 1 + p * (p - 1) // 2 + q * (q + 1) // 2 - 1 + q
+    if held is not None and (n, k) in held:
+        return held[n, k]
     if held:
         held.clear()  # before the new set is allocated
-    buffers = np.empty((n_floats, n, k)), np.empty((2, n, k), dtype=np.intp)
+    buffers = np.empty((7, n, k)), np.empty((2, n, k), dtype=np.intp)
     if held is not None:
-        held[n, k, p] = buffers
+        held[n, k] = buffers
     return buffers
 
 
-def _sieve_refit(intercepts, residuals, heads, lag, idx: np.ndarray) -> np.ndarray:
-    """Highest-lag AR(p) coefficient refit to every sieve series, shape (units, k).
+def _sieve_refit(intercepts, residuals, heads, rho: float, idx: np.ndarray) -> np.ndarray:
+    """Lag-1 coefficient of an AR(1) refit to every sieve series, shape (units, k).
 
     One recursion runs the sieves of all units, k series each, from their
-    (units, p) observed first values ``heads``, with the (units,) intercepts,
-    the (units, m) centered residuals and the (units, p) lag matrix. Each
-    unit's intercept is folded into its residuals, so at step s unit i's
-    series starts from the entry c_i + e that idx[s, i] picks in that
-    table, and then adds the lag products a_1*y_{t-1}, ..., a_p*y_{t-p} in
-    lag order; a lag column that every unit shares, as the pooled one at
-    p = 1, is one scalar, and its row of the buffers is left as scratch. The
-    p lagged values are a ring of (units, k) arrays: each step writes the
-    new value into the array that the previous step's oldest lag left free
-    and rotates the ring, so no state is shifted or copied. Each series is emitted after
-    SIEVE_BURN_IN steps and regresses y_t, t >= p, on (1, y_{t-1}, ...,
-    y_{t-p}). The normal equations are summed while the recursion runs, one
-    row per step in time order, which is the order in which an einsum over
-    the stored series sums them; so the emitted series are never kept.
-    _last_coefficient then solves all N*k systems at once from their upper
-    triangles, eliminating into the arrays the recursion leaves free. Every
-    (units, k) array but the result comes from _sieve_buffers, and every op
-    writes into one with out=, so inside reused_buffers a replication
-    allocates only the index block and the result.
+    (units,) observed first values ``heads``, with the (units,) intercepts,
+    the (units, m) centered residuals and the one lag coefficient ``rho``
+    that every unit shares under the null. Each unit's intercept is folded
+    into its residuals, so at step s unit i's series is the entry c_i + e
+    that idx[s, i] picks in that table, plus rho*y_{t-1}. The lagged and the
+    new value are two (units, k) arrays that swap roles each step, so no
+    state is copied. Each series is emitted after SIEVE_BURN_IN steps and
+    regresses y_t, t >= 1, on (1, y_{t-1}). The sums of y_{t-1}, y_{t-1}**2,
+    y_t and y_{t-1}*y_t are accumulated while the recursion runs, one term
+    per step in time order, which is the order in which an einsum over the
+    stored series sums them; so the emitted series are never kept.
+    _last_coefficient then solves all N*k systems at once, into the arrays
+    the recursion leaves free. Every (units, k) array but the result comes
+    from _sieve_buffers, and every op writes into one with out=, so inside
+    reused_buffers a replication allocates only the index block and the
+    result.
     """
-    p = lag.shape[1]
-    q = p + 1
     steps, n, k = idx.shape
-    first = SIEVE_BURN_IN + p  # the step that emits y_p, the first target
-    # the upper triangle of X'X but its (0, 0) entry, the row count, and X'y,
-    # each entry one contiguous (units, k) array
-    pairs = [(c, d) for c in range(q) for d in range(max(c, 1), q)]
-    n_sums = len(pairs) + q
-    floats, (offsets, position) = _sieve_buffers(n, k, p)
-    lag_rows, ring, product = floats[:p], list(floats[p : p + q]), floats[p + q]
-    extra = list(floats[p + q + 1 : -n_sums])
-    sums = floats[-n_sums:]
+    first = SIEVE_BURN_IN + 1  # the step that emits y_1, the first target
+    floats, (offsets, position) = _sieve_buffers(n, k)
+    lagged, new, product = floats[:3]
+    sums = floats[3:]
     sums.fill(0.0)
-    xtx = dict(zip(pairs, sums))
-    xty = sums[len(pairs) :]
+    sx, sxx, sy, sxy = sums
     table = (intercepts[:, None] + residuals).ravel()
     # per-unit constants spread over the k series: a broadcast operand would
     # make every step's passes slower
     offsets[:] = (np.arange(n) * residuals.shape[1])[:, None]
-    factors = []
-    for coef, row in zip(lag.T, lag_rows):
-        if (coef.view(np.uint64) == coef.view(np.uint64)[0]).all():
-            factors.append(coef[0])  # every unit's: a scalar gives the same products
-        else:
-            row[:] = coef[:, None]
-            factors.append(row)
-    # ring[j] holds y_{t-1-j}; the spare array receives the next value
-    for j in range(p):
-        ring[j][:] = heads[:, p - 1 - j, None]
-    spare = ring.pop()
+    lagged[:] = heads[:, None]
     for step, step_idx in enumerate(idx):
         # every position is in range by construction; "clip" only spares take
         # the buffered copy that mode="raise" makes into ``out``
-        new = table.take(np.add(step_idx, offsets, out=position), out=spare, mode="clip")
-        for coef, lagged in zip(factors, ring):
-            new += np.multiply(coef, lagged, out=product)
+        table.take(np.add(step_idx, offsets, out=position), out=new, mode="clip")
+        new += np.multiply(rho, lagged, out=product)
         if step >= first:
-            row = (None, *ring)  # column 0 is the intercept's 1
-            for (c, d), total in xtx.items():
-                total += row[d] if c == 0 else np.multiply(row[c], row[d], out=product)
-            xty[0] += new
-            for c in range(1, q):
-                xty[c] += np.multiply(row[c], new, out=product)
-        spare = ring.pop()
-        ring.insert(0, new)
+            sx += lagged
+            sxx += np.multiply(lagged, lagged, out=product)
+            sy += new
+            sxy += np.multiply(lagged, new, out=product)
+        lagged, new = new, lagged
     # frees the indices before the systems are solved when the caller keeps
     # no reference
     del idx, step_idx
-    xtx[0, 0] = np.broadcast_to(float(steps - first), (n, k))
-    return _last_coefficient(xtx, xty, [*ring, spare, *lag_rows, product, *extra])
+    count = np.broadcast_to(float(steps - first), (n, k))
+    return _last_coefficient(count, sx, sxx, sy, sxy, (lagged, new, product))
 
 
-def _last_coefficient(a, b, scratch=()) -> np.ndarray:
-    """Last entry of x in each symmetric system a x = b, stacked with the
-    matrix axes first: a[r, c], for r <= c, and b[r] are arrays of the shape
-    that the result takes. a is a (q, q, ...) array, or a mapping that holds
-    its upper triangle, and b a (q, ...) array.
+def _last_coefficient(count, sx, sxx, sy, sxy, scratch=()) -> np.ndarray:
+    """Slope of each least-squares line y = c + rho*x, from its normal
+    equations [[count, sx], [sx, sxx]] (c, rho) = (sy, sxy); every argument
+    is an array of the shape the result takes.
 
-    Forward elimination without pivoting, on the upper triangle only, since
-    every Schur complement of a symmetric matrix is symmetric; the last
-    coefficient is then the last right-hand side over the last pivot. Normal
-    equations are positive semi-definite, so this needs no pivoting. Rows
-    below the first are written into the arrays of ``scratch``, and into new
-    ones once those run out, so a and b stay intact. A system with a pivot
-    that is not positive, or a result that is not finite, is solved from
-    them by np.linalg.lstsq instead, which gives the minimum-norm solution
-    of a singular system.
+    One elimination step: factor = sx/count, then rho = (sxy - factor*sy) /
+    (sxx - factor*sx). Normal equations are positive semi-definite, so this
+    needs no pivoting. The factor, a product and the updated sxx are written
+    into the arrays of ``scratch``, and into new ones if it holds fewer than
+    three, so the sums stay intact. A system with a pivot that is not
+    positive, or a result that is not finite, is solved from them by
+    np.linalg.lstsq instead, which gives the minimum-norm solution of a
+    singular system.
     """
-    q = len(b)
-    shape = b[0].shape
     spare = list(scratch)
-
-    def take():
-        return spare.pop() if spare else np.empty(shape)
-
-    upper = {(r, c): a[r, c] for r in range(q) for c in range(r, q)}
-    rhs = list(b)
-    solved = np.ones(shape, dtype=bool)
-    factor, product = take(), take()
+    factor, product, reduced = (spare.pop() if spare else np.empty(sx.shape) for _ in range(3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(q - 1):
-            pivot = upper[j, j]
-            solved &= pivot > 0
-            for r in range(j + 1, q):
-                np.divide(upper[j, r], pivot, out=factor)
-                # a row moves into scratch on its first update, at j = 0
-                for c in range(r, q):
-                    out = take() if j == 0 else upper[r, c]
-                    np.multiply(factor, upper[j, c], out=product)
-                    upper[r, c] = np.subtract(upper[r, c], product, out=out)
-                out = take() if j == 0 else rhs[r]
-                rhs[r] = np.subtract(rhs[r], np.multiply(factor, rhs[j], out=product), out=out)
-        solved &= upper[q - 1, q - 1] > 0
-        last = rhs[-1] / upper[q - 1, q - 1]
+        solved = count > 0
+        np.divide(sx, count, out=factor)
+        np.subtract(sxx, np.multiply(factor, sx, out=product), out=reduced)
+        rhs = np.subtract(sxy, np.multiply(factor, sy, out=product), out=product)
+        solved &= reduced > 0
+        last = rhs / reduced
         solved &= np.isfinite(last)
     for i in map(tuple, np.argwhere(~solved)):
-        system = [[a[min(r, c), max(r, c)][i] for c in range(q)] for r in range(q)]
-        last[i] = np.linalg.lstsq(np.array(system), b[(slice(None), *i)], rcond=None)[0][-1]
+        system = [[count[i], sx[i]], [sx[i], sxx[i]]]
+        last[i] = np.linalg.lstsq(np.array(system), np.array([sy[i], sxy[i]]), rcond=None)[0][-1]
     return last
 
 
@@ -485,57 +412,54 @@ def _unit_series(panel: PanelDataset, source: str) -> np.ndarray:
 
 
 def _null_sieve_draws(series, coeffs, residuals, config: TestConfig) -> np.ndarray:
-    """Bootstrap draws of each unit's highest-lag coefficient, shape (N, k).
+    """Bootstrap draws of each unit's lag-1 coefficient, shape (N, k).
 
     ``coeffs`` and ``residuals`` are _ar_fit_rows' stacked fits of the
-    (N, m) ``series``, whose first p columns start the sieves. Every unit's
-    sieve runs with its highest-lag coefficient set to the cross-unit mean,
-    and the rows that this makes (near-)explosive are stabilized. One
-    generator, substream "temporal-sieve", draws the innovation indices of
-    all units as one time-major (steps, N, k) block in the smallest unsigned
-    dtype that holds them: rng.index_block, which gives the bits of
-    Generator.integers from whole chunks of raw words.
+    (N, m) ``series``, whose first column starts the sieves. Every unit's
+    sieve runs with the cross-unit mean of the lag-1 coefficients, stabilized
+    if it is (near-)explosive. One generator, substream "temporal-sieve",
+    draws the innovation indices of all units as one time-major (steps, N, k)
+    block in the smallest unsigned dtype that holds them: rng.index_block,
+    which gives the bits of Generator.integers from whole chunks of raw
+    words.
     """
-    p = config.ar_order_p
     n, m = series.shape
-    lag = coeffs[:, 1:].copy()
-    lag[:, -1] = np.mean(coeffs[:, -1])
     return _sieve_refit(  # no reference kept here, so the refit can free the block
         coeffs[:, 0],
         residuals,
-        series[:, :p],
-        _stabilized(lag),
+        series[:, 0],
+        _stabilized(np.mean(coeffs[:, 1])),
         index_block(
-            config.seed, "temporal-sieve", n=m - p, shape=(SIEVE_BURN_IN + m, n, config.n_boot_k)
+            config.seed, "temporal-sieve", n=m - 1, shape=(SIEVE_BURN_IN + m, n, config.n_boot_k)
         ),
     )
 
 
 def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestReport:
-    """AR-sieve bootstrap test of a common autocorrelation coefficient.
+    """AR-sieve bootstrap test of a common lag-1 autocorrelation coefficient.
 
-    The series must be longer than 3p+1 (check_ar_length). Every unit is fit
-    first, in one pass; the first unit, in unit order, whose fit fails is
-    named in a BootstrapError. Each unit's sieve then runs with its
-    highest-lag coefficient set to the cross-unit mean, imposing the null.
-    One unit-batched recursion generates all N*k sieve series from one
-    generator's time-major innovation indices and sums their AR refits'
-    normal equations as it goes; forward elimination then gives the N*k
-    refit coefficients. The per-unit intervals are simultaneous max-t
-    intervals, each studentised by the bootstrap standard deviation of that
-    unit's deviation from the replicate's cross-unit mean. Rejects when at
-    least one unit's interval excludes the cross-unit mean of the original
+    The series must be longer than 4 (check_ar_length). Every unit is fit an
+    AR(1) first, in one pass; the first unit, in unit order, whose fit fails
+    is named in a BootstrapError. Each unit's sieve then runs with the
+    cross-unit mean coefficient, imposing the null. One unit-batched
+    recursion generates all N*k sieve series from one generator's
+    time-major innovation indices and sums their AR(1) refits' normal
+    equations as it goes; one elimination step then gives the N*k refit
+    coefficients. The per-unit intervals are simultaneous max-t intervals,
+    each studentised by the bootstrap standard deviation of that unit's
+    deviation from the replicate's cross-unit mean. Rejects when at least
+    one unit's interval excludes the cross-unit mean of the original
     estimates.
     """
-    check_ar_length(config.ar_order_p, panel.n_periods)
+    check_ar_length(panel.n_periods)
     series = _unit_series(panel, config.series_source)
 
-    fit, failure = _ar_fit_rows(series, config.ar_order_p)
+    fit, failure = _ar_fit_rows(series)
     if failure is not None:
         row, err = failure
         raise BootstrapError(f"AR fit failed for unit {panel.unit_ids[row]!r}: {err}") from err
     coeffs, residuals, _ = fit
-    estimates = coeffs[:, -1]
+    estimates = coeffs[:, 1]
 
     draws = _null_sieve_draws(series, coeffs, residuals, config)
     deviations = draws - draws.mean(axis=0)

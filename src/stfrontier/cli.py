@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         tst.add_argument("--boot-k", type=int, default=500)
         tst.add_argument("--alpha", type=float, default=0.05)
-        tst.add_argument("--ar-order", type=int, default=1)
         tst.add_argument(
             "--series-source",
             choices=[s.replace("_", "-") for s in SERIES_SOURCES],
@@ -150,7 +149,6 @@ def _cmd_test(kind: str, args, argv) -> int:
     seed = _effective_seed(args.seed)
     # the settings are checked before the panel is read
     config = TestConfig(
-        ar_order_p=args.ar_order,
         n_boot_k=args.boot_k,
         alpha=args.alpha,
         series_source=args.series_source.replace("-", "_"),

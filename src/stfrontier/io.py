@@ -1057,7 +1057,7 @@ def grid_from_dict(data: dict) -> GridSpec:
                 str(v) if cast is str else _cast(v, cast, f"{name}[{i}]")
                 for i, v in enumerate(values)
             )
-    for name, cast in (("boot_k", int), ("alpha", float), ("ar_order_p", int)):
+    for name, cast in (("boot_k", int), ("alpha", float)):
         if name in data:
             kwargs[name] = _cast(data.pop(name), cast, name)
     for name in ("series_source", "te_source"):

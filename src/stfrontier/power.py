@@ -167,15 +167,15 @@ def run_power_cell(
     *,
     boot_k: int = 500,
     alpha: float = 0.05,
-    ar_order_p: int = 1,
     series_source: str = "frontier_residuals",
     te_source: str = "true",
 ) -> PowerCell:
     """Replicate simulate-then-test and aggregate the rejection count.
 
-    The spatial test consumes the simulated ground-truth TE by default
-    (te_source="true"); "estimated" feeds the model-predicted TE instead.
-    The test settings are checked once, before any replication. The
+    The temporal test fits each unit an AR(1), the model's noise, so it
+    takes no order. The spatial test consumes the simulated ground-truth TE
+    by default (te_source="true"); "estimated" feeds the model-predicted TE
+    instead. The test settings are checked once, before any replication. The
     replications run in one assumption_tests.reused_buffers block, so the
     temporal sieve's working arrays are allocated once per cell, or in the
     caller's block if one is open. Errors inside a replication are
@@ -189,9 +189,7 @@ def run_power_cell(
     n_reps = as_count(n_reps, "n_reps", least=1)
     master_seed = check_seed(master_seed, "master_seed")
     key = cell_key(scenario, test_kind)
-    settings = TestConfig(
-        ar_order_p=ar_order_p, n_boot_k=boot_k, alpha=alpha, series_source=series_source
-    )
+    settings = TestConfig(n_boot_k=boot_k, alpha=alpha, series_source=series_source)
 
     rejections = 0
     failures: list[str] = []
@@ -234,7 +232,9 @@ class GridSpec:
 
     Every (n, T, dominance) combination gets one size cell (no contamination)
     plus one power cell per (fraction, shift) pair. Shifts apply to rho for
-    the temporal test and to gamma for the spatial test.
+    the temporal test and to gamma for the spatial test. The test settings
+    are checked here, before any cell runs, and a grid with the temporal
+    test needs every T > 4, the length rule of its AR(1) fits.
     """
 
     test_kinds: tuple[str, ...] = ("temporal", "spatial")
@@ -246,7 +246,6 @@ class GridSpec:
     base_params: ModelParams = field(default_factory=default_power_params)
     boot_k: int = 500
     alpha: float = 0.05
-    ar_order_p: int = 1
     series_source: str = "frontier_residuals"
     te_source: str = "true"
 
@@ -258,12 +257,7 @@ class GridSpec:
             if dom not in DOMINANCE_SHARES:
                 raise ValidationError(f"unknown dominance {dom!r}")
         # the one check of the test settings; the seed is per replication
-        settings = TestConfig(
-            ar_order_p=self.ar_order_p,
-            n_boot_k=self.boot_k,
-            alpha=self.alpha,
-            series_source=self.series_source,
-        )
+        TestConfig(n_boot_k=self.boot_k, alpha=self.alpha, series_source=self.series_source)
         if self.te_source not in TE_SOURCES:
             raise ValidationError(
                 f"te_source must be one of {TE_SOURCES}, got {self.te_source!r}"
@@ -277,7 +271,7 @@ class GridSpec:
             raise ValidationError("grid must span at least one (n, T, dominance) cell")
         if "temporal" in self.test_kinds:
             # otherwise every replication of the shortest cells would error
-            check_ar_length(settings.ar_order_p, min(self.t_values))
+            check_ar_length(min(self.t_values))
 
     def cells(self):
         """Yield (scenario, test_kind) pairs covering the grid exactly once."""
@@ -363,7 +357,7 @@ def run_grid(
         raise ValidationError("empty grid")
     cap = len(cells) if n_workers is None else as_count(n_workers, "n_workers", least=1)
     width = min(fork_width(), cap, len(cells))
-    names = ("boot_k", "alpha", "ar_order_p", "series_source", "te_source")
+    names = ("boot_k", "alpha", "series_source", "te_source")
     settings = {name: getattr(grid_spec, name) for name in names}
 
     def share(first: int):

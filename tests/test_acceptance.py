@@ -216,7 +216,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks = []
 
     with pytest.raises(EstimationError, match="zero-variance series"):
-        ar_fit(np.full(20, 2.0), 1)
+        ar_fit(np.full(20, 2.0))
     checks.append("zero-variance series")
 
     rng = np.random.default_rng(0)
@@ -258,7 +258,7 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     checks.append("rank-deficient spatial slice")
 
     with pytest.raises(EstimationError, match="near-singular lag matrix"):
-        ar_fit(np.tile([0.0, 1.0], 8), 2)
+        ar_fit(np.r_[np.full(15, 1.0), 2.0])  # every lagged value is 1.0
     checks.append("collinear AR lags")
 
     _report(9, True, f"degenerate inputs raise named errors ({len(checks)} cases)")

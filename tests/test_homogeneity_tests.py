@@ -41,20 +41,23 @@ class TestConfigValidation:
             dict(alpha=0.0),
             dict(n_boot_k=100, alpha=0.01),  # alpha*k = 1 < 5
             dict(series_source="levels"),
-            dict(ar_order_p=0),
-            dict(ar_order_p=1.5),  # int() truncated these to (1, 150) and True to 1
-            dict(n_boot_k=150.7),
-            dict(ar_order_p=True),
+            dict(n_boot_k=150.7),  # int() truncated this to 150 and True to 1
+            dict(n_boot_k=True),
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
             TestConfig(**kwargs)
 
-    def test_integral_floats_become_ints(self):
-        cfg = TestConfig(ar_order_p=2.0, n_boot_k=np.int64(150))
-        assert (cfg.ar_order_p, cfg.n_boot_k) == (2, 150)
-        assert type(cfg.ar_order_p) is int and type(cfg.n_boot_k) is int
+    @pytest.mark.parametrize("k", [150.0, np.int64(150)])
+    def test_integral_floats_become_ints(self, k):
+        cfg = TestConfig(n_boot_k=k)
+        assert cfg.n_boot_k == 150 and type(cfg.n_boot_k) is int
+
+    def test_ar_order_is_not_a_setting(self):
+        # the temporal test fits AR(1), the model's noise, and nothing else
+        with pytest.raises(TypeError, match="ar_order_p"):
+            TestConfig(ar_order_p=1)
 
 
 class TestReportContract:
@@ -91,24 +94,19 @@ class TestTemporal:
         assert a.per_block_interval == b.per_block_interval
         assert a.reject == b.reject
 
-    def test_order_too_large_for_panel(self):
-        panel, *_ = simulate_panel(power_scenario())
-        with pytest.raises(ValidationError, match=r"need T > 3p\+1 = 13, got T=12"):
-            run_temporal_test(panel, TestConfig(ar_order_p=4, n_boot_k=120, seed=5))
-
-    @pytest.mark.parametrize("t, p", [(10, 3), (4, 1), (7, 2)])
-    def test_length_rule_is_checked_before_any_fit(self, t, p):
-        # T = 3p+1 passed the old p < T/3 check and then failed in every unit
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_length_rule_is_checked_before_any_fit(self, t):
+        # T = 4 passed the old p < T/3 check and then failed in every unit
         panel, *_ = simulate_panel(power_scenario(n_periods=t))
         for source in ("frontier_residuals", "log_output"):
-            config = TestConfig(ar_order_p=p, n_boot_k=120, seed=5, series_source=source)
-            with pytest.raises(ValidationError, match=r"too short for AR\(\d\): need T > 3p\+1"):
+            config = TestConfig(n_boot_k=120, seed=5, series_source=source)
+            with pytest.raises(ValidationError, match=rf"too short for AR\(1\): need T > 4, got T={t}"):
                 run_temporal_test(panel, config)
 
-    @pytest.mark.parametrize("t, p", [(11, 3), (5, 1)])
-    def test_shortest_allowed_series_runs(self, t, p):
+    @pytest.mark.parametrize("t", [5, 6])
+    def test_shortest_allowed_series_runs(self, t):
         panel, *_ = simulate_panel(power_scenario(n_periods=t))
-        config = TestConfig(ar_order_p=p, n_boot_k=120, seed=5, series_source="log_output")
+        config = TestConfig(n_boot_k=120, seed=5, series_source="log_output")
         assert len(run_temporal_test(panel, config).per_block_estimate) == panel.n_units
 
     def test_constant_unit_series_aborts_with_unit_name(self):

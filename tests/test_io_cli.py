@@ -1177,24 +1177,39 @@ class TestCli:
         assert code == 3
         assert json.loads(out.read_text())["reject"] is True
 
-    def test_series_too_short_for_ar_order_exits_with_usage_error(self, tmp_path, capsys):
-        # T = 10 = 3p+1 at p = 3: a ValidationError (exit 1), not a
-        # numerical failure in every unit (exit 2)
+    def test_series_too_short_for_ar1_exits_with_usage_error(self, tmp_path, capsys):
+        # T = 4: a ValidationError (exit 1), not a numerical failure in every
+        # unit (exit 2)
         scenario = tmp_path / "scenario.json"
-        write_scenario_json(Scenario(n_units=8, n_periods=10, seed=7), str(scenario))
+        write_scenario_json(Scenario(n_units=8, n_periods=4, seed=7), str(scenario))
         panel_csv = tmp_path / "panel.csv"
         parse_and_dispatch(["simulate", "--scenario", str(scenario), "--out", str(panel_csv)])
         capsys.readouterr()
         out = tmp_path / "report.json"
         code = parse_and_dispatch(
-            ["test-temporal", "--panel", str(panel_csv), "--ar-order", "3", "--boot-k", "100",
+            ["test-temporal", "--panel", str(panel_csv), "--boot-k", "100",
              "--seed", "1", "--out", str(out)]
         )
         assert code == 1
-        assert "error: series too short for AR(3): need T > 3p+1 = 10, got T=10" in (
+        assert "error: series too short for AR(1): need T > 4, got T=4" in (
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["temporal", "spatial"])
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_ar_order_flag_is_a_usage_error(self, tmp_path, capsys, kind, order):
+        # the temporal test fits AR(1), the model's noise; no order is taken,
+        # not even the old default
+        argv = [f"test-{kind}", "--panel", str(tmp_path / "missing.csv"), "--ar-order", order,
+                "--seed", "1", "--out", str(tmp_path / "report.json")]
+        with pytest.raises(SystemExit) as parsed:
+            _build_parser().parse_args(argv)
+        assert parsed.value.code == 2  # argparse's own usage exit
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 1
+        assert f"unrecognized arguments: --ar-order {order}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("kind", ["temporal", "spatial"])
     @pytest.mark.parametrize(
@@ -1202,7 +1217,6 @@ class TestCli:
         [
             (["--alpha", "0.7"], "alpha must lie in (0, 0.5), got 0.7"),
             (["--boot-k", "50"], "n_boot_k must be >= 100, got 50"),
-            (["--ar-order", "0"], "ar_order_p must be >= 1, got 0"),
         ],
     )
     def test_bad_setting_is_named_before_the_panel_is_read(
@@ -1219,15 +1233,15 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_power_grid_too_short_for_ar_order_exits_with_usage_error(self, tmp_path, capsys):
+    def test_power_grid_too_short_for_ar1_exits_with_usage_error(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"test_kinds": ["temporal"], "t_values": [4], "ar_order_p": 1}))
+        grid.write_text(json.dumps({"test_kinds": ["temporal"], "t_values": [4]}))
         out = tmp_path / "power.csv"
         code = parse_and_dispatch(
             ["power", "--grid", str(grid), "--reps", "2", "--seed", "1", "--out", str(out)]
         )
         assert code == 1
-        assert "need T > 3p+1 = 4, got T=4" in capsys.readouterr().err
+        assert "error: series too short for AR(1): need T > 4, got T=4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_spatial_on_estimated_te_fails_to_reject(self, tmp_path, scenario_file):
@@ -1376,7 +1390,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"ar_order_p": "two"}, "ar_order_p must be an integer, got 'two'"),
+            # the order is fixed at 1, so the field is refused whatever it holds
+            ({"ar_order_p": 1}, "unknown grid fields: ['ar_order_p']"),
+            ({"ar_order_p": "two"}, "unknown grid fields: ['ar_order_p']"),
             ({"boot_k": "many"}, "boot_k must be an integer, got 'many'"),
             ({"alpha": "0.05x"}, "alpha must be a number, got '0.05x'"),
             ({"n_values": 5}, "n_values must be a list, got 5"),
@@ -1391,7 +1407,6 @@ class TestCli:
             # these three used to simulate every replication and then exit 2
             ({"boot_k": 50}, "n_boot_k must be >= 100, got 50"),
             ({"alpha": 0.7}, "alpha must lie in (0, 0.5), got 0.7"),
-            ({"ar_order_p": 0}, "ar_order_p must be >= 1, got 0"),
         ],
     )
     def test_bad_grid_field_named(self, tmp_path, capsys, fields, message):
@@ -1506,7 +1521,6 @@ PINNED_SHA256 = {
     "s2.json": "d607a80a001b9bf82578926ad6fe44668a3254d407737aae238e0b0cf2bc8958",
     "split.csv": "ad35f9188575b4915bc2e1695a702f768accc8d4f64123b88f89a6e988b985ec",
     "t1.json": "ecd0a87fe31ef8fc0d6f9cb30c43a3568cd75219e715328367f5bd9e6b7c0988",
-    "t2.json": "a8acb99cf4d0d9109cfd13c344b3756023f3956a9a9d47de7255baf82a6e8ec3",
     "te.csv": "17fcc253521eb8dce745e93341e0999a59d0098067070b2ef9afe5cfb2915406",
 }
 
@@ -1548,8 +1562,8 @@ TEMPORAL_DECISION_RULE = (
     "excludes the cross-unit mean"
 )
 
-# t1.json and t2.json of test_output_bytes_are_pinned as the per-row
-# least-squares AR fits wrote them, before ledger D18
+# t1.json of test_output_bytes_are_pinned as the per-row least-squares AR
+# fits wrote it, before ledger D18
 PER_ROW_LSTSQ_T_JSON = {
     "t1.json": {
         "meta": {"version": "0.1.0",
@@ -1588,56 +1602,18 @@ PER_ROW_LSTSQ_T_JSON = {
              "interval": [-1.2584950997933921, 0.5484611631495502], "excludes_reference": False},
         ],
     },
-    "t2.json": {
-        "meta": {"version": "0.1.0",
-                 "command": "test-temporal --panel p.csv --ar-order 2 --boot-k 100 --seed 1 --out t2.json",
-                 "seed": 1},
-        "test_kind": "temporal",
-        "reference_value": -0.2145749502895902,
-        "n_failing": 0,
-        "reject": False,
-        "decision_rule": TEMPORAL_DECISION_RULE,
-        "alpha": 0.05,
-        "blocks": [
-            {"label": "0", "estimate": -0.354319068426255,
-             "interval": [-1.4207548165200805, 0.7121166796675705], "excludes_reference": False},
-            {"label": "1", "estimate": -0.46119803620038136,
-             "interval": [-1.511330122718345, 0.5889340503175823], "excludes_reference": False},
-            {"label": "2", "estimate": 0.1582239481626958,
-             "interval": [-0.8037016048187707, 1.1201495011441625], "excludes_reference": False},
-            {"label": "3", "estimate": -0.2918825085743843,
-             "interval": [-1.193697295466922, 0.6099322783181534], "excludes_reference": False},
-            {"label": "4", "estimate": -0.23527906370468468,
-             "interval": [-1.135372708570148, 0.6648145811607785], "excludes_reference": False},
-            {"label": "5", "estimate": -0.2915406104106612,
-             "interval": [-1.3585951537958363, 0.7755139329745137], "excludes_reference": False},
-            {"label": "6", "estimate": -0.06015549815988195,
-             "interval": [-1.0158840959206463, 0.8955730996008824], "excludes_reference": False},
-            {"label": "7", "estimate": -0.5623020642990005,
-             "interval": [-1.5389487170838758, 0.4143445884858747], "excludes_reference": False},
-            {"label": "8", "estimate": -0.14950080430520485,
-             "interval": [-1.0759795774264722, 0.7769779688160624], "excludes_reference": False},
-            {"label": "9", "estimate": -0.17232348464860422,
-             "interval": [-1.1598524285106961, 0.8152054592134875], "excludes_reference": False},
-            {"label": "10", "estimate": 0.1159720164258841,
-             "interval": [-0.7908791238457664, 1.0228231566975348], "excludes_reference": False},
-            {"label": "11", "estimate": -0.27059422933460403,
-             "interval": [-1.2362840702151907, 0.6950956115459824], "excludes_reference": False},
-        ],
-    },
 }
 
 
 def test_temporal_reports_move_by_rounding_only(tmp_path, monkeypatch):
-    """The batched SVD AR fits moved t1.json and t2.json at rounding level only:
-    the sieve carries the fits' last-bit differences into the draws, and the
-    largest move seen was 1.7e-13 relative, on an interval limit at p = 2."""
+    """The batched SVD AR fits moved t1.json at rounding level only: the sieve
+    carries the fits' last-bit differences into the draws, and the largest
+    move is 2.5e-15 relative."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps({"n_units": 12, "n_periods": 10, "seed": 4}))
     for argv in (
         "simulate --scenario s.json --out p.csv",
         "test-temporal --panel p.csv --boot-k 100 --seed 1 --out t1.json",
-        "test-temporal --panel p.csv --ar-order 2 --boot-k 100 --seed 1 --out t2.json",
     ):
         assert parse_and_dispatch(argv.split()) == 0
     for name, old in PER_ROW_LSTSQ_T_JSON.items():
@@ -1679,7 +1655,6 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         "simulate --scenario s.json --out p.csv",
         "estimate --panel p.csv --out e.json --te-out te.csv",
         "test-temporal --panel p.csv --boot-k 100 --seed 1 --out t1.json",
-        "test-temporal --panel p.csv --ar-order 2 --boot-k 100 --seed 1 --out t2.json",
         "test-spatial --panel p.csv --boot-k 100 --seed 1 --out s1.json",
         "test-spatial --panel p.csv --te te.csv --boot-k 100 --seed 1 --out s2.json",
         "power --grid g.json --reps 2 --seed 1 --out pw.csv",
@@ -1697,3 +1672,43 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     inputs = {"s.json", "g.json"}
     written = {path.name: sha(path) for path in sorted(tmp_path.iterdir()) if path.name not in inputs}
     assert written == PINNED_SHA256
+
+
+# Reports and a temporal-only power grid as the tree wrote them before the
+# temporal test was fixed at AR(1) (ledger D21): the kernel's bits held.
+@pytest.mark.parametrize(
+    "scenario, flags, code, digest",
+    [
+        ({"n_units": 12, "n_periods": 10, "seed": 4},
+         "--series-source log-output --boot-k 100 --seed 2", 0,
+         "7960ccd53fa92fd53ae811cb60c5ba7063023e4363411cdf021972549557eb9e"),
+        ({"n_units": 12, "n_periods": 10, "seed": 4}, "--alpha 0.1 --boot-k 200 --seed 3", 0,
+         "6806c52c141ec15994b02dbae8bcc844922412c95873db75b87b3f9fb65f2c87"),
+        ({"n_units": 20, "n_periods": 60, "seed": 5, "contamination_fraction": 0.1,
+          "temporal_shift_r": 0.6}, "--boot-k 100 --seed 1", 3,
+         "32c6b57fb071af395a948d182ec56576e06bd8ca266c12c88b11b39bf721d8f3"),
+        ({"n_units": 30, "n_periods": 12, "seed": 6}, "--boot-k 300 --seed 4", 0,
+         "1b48e1cd4653ea3d2e1769f6d60c22371bdc6028e84af6ffe091558481d4746e"),
+    ],
+)
+def test_temporal_report_bytes_are_pinned(tmp_path, monkeypatch, scenario, flags, code, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    assert parse_and_dispatch("simulate --scenario s.json --out p.csv".split()) == 0
+    assert parse_and_dispatch(f"test-temporal --panel p.csv {flags} --out t.json".split()) == code
+    assert sha(tmp_path / "t.json") == digest
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_temporal_grid_bytes_are_pinned(tmp_path, monkeypatch, n_workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    grid = tmp_path / "g.json"
+    grid.write_text(json.dumps(
+        {"test_kinds": ["temporal"], "n_values": [10], "t_values": [8, 30],
+         "dominances": ["equal"], "fractions": [0.2], "shifts": [1.5], "boot_k": 100}
+    ))
+    table = run_grid(stio.read_grid_json(str(grid)), 3, 5, n_workers=n_workers)
+    stio.write_power_csv(table, str(tmp_path / "grid.csv"))
+    assert sha(tmp_path / "grid.csv") == (
+        "05612d369d3058156a0cf25f5b496d55f20ffc7d10e7873ac41881ac450bd64a"
+    )

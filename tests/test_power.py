@@ -109,27 +109,27 @@ class TestRunPowerCell:
         seen = []
 
         def record(panel, config):
-            seen.append(assumption_tests._sieve_buffers(8, 100, 1))
+            seen.append(assumption_tests._sieve_buffers(8, 100))
             return SimpleNamespace(reject=False)
 
         monkeypatch.setattr(power, "test_constant_temporal", record)
         run_power_cell(tiny_scenario(), "temporal", 3, master_seed=2)
         assert seen[0] is seen[1] is seen[2]
-        assert assumption_tests._sieve_buffers(8, 100, 1) is not seen[0]  # freed with the cell
+        assert assumption_tests._sieve_buffers(8, 100) is not seen[0]  # freed with the cell
 
     def test_a_share_of_same_shape_cells_allocates_one_sieve_buffer_set(self, monkeypatch):
         allocate = assumption_tests._sieve_buffers
         sets = []
 
-        def record(n, k, p):
-            sets.append(allocate(n, k, p))
+        def record(n, k):
+            sets.append(allocate(n, k))
             return sets[-1]
 
         monkeypatch.setattr(assumption_tests, "_sieve_buffers", record)
-        grid = tiny_grid(test_kinds=("temporal",))  # two cells of one (N, k, p)
+        grid = tiny_grid(test_kinds=("temporal",))  # two cells of one (N, k)
         run_grid(grid, 2, master_seed=3, n_workers=1)
         assert len(sets) == 4 and len({id(buffers) for buffers in sets}) == 1
-        assert allocate(8, 100, 1) is not sets[0]  # freed with the share
+        assert allocate(8, 100) is not sets[0]  # freed with the share
 
     def test_cell_key_excludes_seed(self):
         a = cell_key(tiny_scenario(seed=1), "temporal")
@@ -219,14 +219,15 @@ class TestGridSpec:
                 assert scenario.spatial_shift_g == 1.5 and scenario.temporal_shift_r == 0.0
 
 
-    @pytest.mark.parametrize("t_values, p", [((10, 12), 3), ((4,), 1), ((7, 60), 2)])
-    def test_temporal_grid_rejects_series_too_short_for_its_order(self, t_values, p):
-        with pytest.raises(ValidationError, match=r"need T > 3p\+1"):
-            tiny_grid(test_kinds=("temporal",), t_values=t_values, ar_order_p=p)
-        with pytest.raises(ValidationError, match=r"need T > 3p\+1"):
-            tiny_grid(test_kinds=("spatial", "temporal"), t_values=t_values, ar_order_p=p)
+    @pytest.mark.parametrize("t_values", [(4,), (3, 60), (60, 4)])
+    def test_temporal_grid_rejects_series_too_short_for_ar1(self, t_values):
+        message = rf"too short for AR\(1\): need T > 4, got T={min(t_values)}"
+        with pytest.raises(ValidationError, match=message):
+            tiny_grid(test_kinds=("temporal",), t_values=t_values)
+        with pytest.raises(ValidationError, match=message):
+            tiny_grid(test_kinds=("spatial", "temporal"), t_values=t_values)
         # the rule binds the temporal test only
-        assert list(tiny_grid(t_values=t_values, ar_order_p=p).cells())
+        assert list(tiny_grid(t_values=t_values).cells())
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -247,9 +248,16 @@ class TestGridSpec:
         assert all(type(v) is int for v in grid.n_values + grid.t_values)
         assert [(sc.n_units, sc.n_periods) for sc, _ in grid.cells()] == [(8, 9), (8, 9)]
 
+    def test_ar_order_is_not_a_setting(self):
+        # the temporal test fits AR(1), the model's noise, and nothing else
+        with pytest.raises(TypeError, match="ar_order_p"):
+            tiny_grid(test_kinds=("temporal",), ar_order_p=1)
+        with pytest.raises(TypeError, match="ar_order_p"):
+            run_power_cell(tiny_scenario(), "temporal", 1, master_seed=1, ar_order_p=1)
+
     def test_temporal_grid_accepts_the_shortest_allowed_series(self):
-        grid = tiny_grid(test_kinds=("temporal",), t_values=(11, 12), ar_order_p=3)
-        assert {sc.n_periods for sc, _ in grid.cells()} == {11, 12}
+        grid = tiny_grid(test_kinds=("temporal",), t_values=(5, 12))
+        assert {sc.n_periods for sc, _ in grid.cells()} == {5, 12}
 
 
 class TestRunGrid:
