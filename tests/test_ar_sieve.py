@@ -297,7 +297,7 @@ def _index_block(config, n_units, m):
     )
 
 
-def _oracle_null_series(series, config, idx):
+def _oracle_null_series(series, idx):
     """Each unit's (k, m) null sieve series, unit by unit, from per-unit
     ARFit objects."""
     fits = [ar_fit(row) for row in series]
@@ -307,10 +307,10 @@ def _oracle_null_series(series, config, idx):
                                   series.shape[1], idx[:, i, :].T)
 
 
-def _oracle_null_draws(series, config, idx):
+def _oracle_null_draws(series, idx):
     """The (units, k) null draws, unit by unit."""
     return np.stack([_oracle_ar_refit_batch(batch)
-                     for batch in _oracle_null_series(series, config, idx)])
+                     for batch in _oracle_null_series(series, idx)])
 
 
 def gate_panel(seed, contaminated=False, n_periods=12):
@@ -351,7 +351,7 @@ class TestLastCoefficient:
         series = fit_frontier_gls(gate_panel(seed, contaminated, n_periods=t)).innovations
         config = TestConfig(n_boot_k=500, seed=100 + seed)
         idx = _index_block(config, len(series), series.shape[1])
-        batches = np.concatenate(list(_oracle_null_series(series, config, idx)))
+        batches = np.concatenate(list(_oracle_null_series(series, idx)))
         xtx, xty = _oracle_normal_equations(batches)
         reference = np.linalg.solve(xtx, xty[..., None])[:, -1, 0]
         assert _normwise_error(_solve_last(xtx, xty), reference) <= 1e-10
@@ -427,7 +427,7 @@ def explosive_series():
 
 
 class TestBatchedSieve:
-    @pytest.mark.parametrize("key", list(PINNED_DRAWS))
+    @pytest.mark.parametrize("key", list(PINNED_DRAWS), ids=["50x12", "50x60", "explosive"])
     def test_draws_keep_their_bits(self, key):
         if key == "explosive":
             series, config = explosive_series(), TestConfig(n_boot_k=200, seed=22)
@@ -452,7 +452,7 @@ class TestBatchedSieve:
         config = TestConfig(n_boot_k=500, seed=100 + seed)
         batched = _null_sieve_draws(series, *stacked_fits(series), config)
         idx = _index_block(config, len(series), t)
-        assert np.array_equal(batched, _oracle_null_draws(series, config, idx))
+        assert np.array_equal(batched, _oracle_null_draws(series, idx))
 
     def test_singular_unit_falls_back_to_least_squares(self):
         # a flat recursion with no innovations makes that unit's refit singular
@@ -476,7 +476,7 @@ class TestBatchedSieve:
         batched = _null_sieve_draws(series, *stacked_fits(series), config)
         idx = _index_block(config, 1, 12)
         assert batched.shape == (1, 200)
-        assert np.array_equal(batched, _oracle_null_draws(series, config, idx))
+        assert np.array_equal(batched, _oracle_null_draws(series, idx))
 
     def test_zero_residuals_give_deterministic_recursion(self):
         # with no innovations every sieve series is the same noiseless AR(1)
@@ -513,7 +513,7 @@ class TestBatchedSieve:
         assert coeffs[:, 1].mean() >= assumption_tests._STABILIZE_RADIUS
         config = TestConfig(n_boot_k=200, seed=22)
         draws = _null_sieve_draws(series, coeffs, residuals, config)
-        assert np.array_equal(draws, _oracle_null_draws(series, config, _index_block(config, 8, 30)))
+        assert np.array_equal(draws, _oracle_null_draws(series, _index_block(config, 8, 30)))
 
     @pytest.mark.parametrize("t, dtype", [(257, np.uint8), (258, np.uint16)])
     def test_index_block_is_one_time_major_draw_in_smallest_dtype(self, monkeypatch, t, dtype):
@@ -567,7 +567,7 @@ class TestReusedBuffers:
     def _assert_draws_equal_oracle(self, series, config):
         draws = _null_sieve_draws(series, *stacked_fits(series), config)
         idx = _index_block(config, len(series), 12)
-        assert np.array_equal(draws, _oracle_null_draws(series, config, idx))
+        assert np.array_equal(draws, _oracle_null_draws(series, idx))
 
     def test_consecutive_draws_in_one_scope_equal_oracle(self):
         # the second call reuses the first's set; N and k changes resize it

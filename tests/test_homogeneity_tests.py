@@ -96,7 +96,7 @@ class TestTemporal:
 
     @pytest.mark.parametrize("t", [3, 4])
     def test_length_rule_is_checked_before_any_fit(self, t):
-        # T = 4 passed the old p < T/3 check and then failed in every unit
+        # a ValidationError up front, not a failed fit in every unit
         panel, *_ = simulate_panel(power_scenario(n_periods=t))
         for source in ("frontier_residuals", "log_output"):
             config = TestConfig(n_boot_k=120, seed=5, series_source=source)
