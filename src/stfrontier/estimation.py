@@ -22,9 +22,9 @@ design's R factor in fit_frontier_gls, and from one batched SVD of the
 temporal test's AR lag designs. _require_full_rank names the collinear
 columns of a design that fails it.
 
-The logit comes from frontier, which evaluates scipy.special.logit's formula
-through the C library. scipy itself is imported only to name the collinear
-columns of a singular design, so a run on a regular design never loads it.
+The logit is frontier.logit, the package's one logit. scipy is imported
+only to name the collinear columns of a singular design, so a run on a
+regular design never loads it.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .types import PanelDataset
 
 #: Clamp width for the logit transform of residual inefficiencies.
 CLAMP_DELTA = 1e-6
-
-#: logit(CLAMP_DELTA) and logit(1-CLAMP_DELTA), the responses of clamped cells.
-_CLAMPED_LOGITS = tuple(logit([CLAMP_DELTA, 1.0 - CLAMP_DELTA]))
 
 #: Residual variance below which the AR coefficient is pinned to zero.
 _DEGENERATE_VAR = 1e-12
@@ -261,17 +258,13 @@ def fit_efficiency_glm(
 
     u* = -u_hat estimates the inefficiency up to noise; values are clamped
     into [CLAMP_DELTA, 1-CLAMP_DELTA] before the logit, which is regressed on
-    (w, z) without intercept. Returns (gamma_hat, phi_hat, clamp_count).
-    Clamped cells take the logit of their bound from _CLAMPED_LOGITS.
+    (w, z) without intercept. Returns (gamma_hat, phi_hat, clamp_count), where
+    clamp_count is the number of cells moved onto a bound.
     """
     u_star = -frontier.residuals_u.ravel()
     lo, hi = CLAMP_DELTA, 1.0 - CLAMP_DELTA
-    low, high = u_star < lo, u_star > hi
-    inside = ~(low | high)
-    clamp_count = u_star.size - int(np.count_nonzero(inside))
-    response = np.empty_like(u_star)
-    response[low], response[high] = _CLAMPED_LOGITS
-    response[inside] = logit(u_star[inside])
+    clamp_count = int(np.count_nonzero(u_star < lo) + np.count_nonzero(u_star > hi))
+    response = logit(np.clip(u_star, lo, hi))
     if response.var() < _DEGENERATE_VAR:
         raise EstimationError(
             "inefficiency signal absent: the transformed residuals have no variance"

@@ -1,23 +1,19 @@
 """Frontier and efficiency transforms.
 
 cobb_douglas_log     log frontier value, linear in log inputs
-inefficiency_mean    logistic map from spatial measures and covariates to (0,1)
+inefficiency_mean    logistic map from spatial measures and covariates to [0,1]
 technical_efficiency exp(-u) for an inefficiency u in (0,1)
 te_to_logit          exact inverse of the composed map, back to the linear scale
 
 expit and logit are the package's logistic pair, imported by simulate and
-estimation. They give the bits of scipy.special.expit and scipy.special.logit
-without importing scipy (about half of the package's import time): both
-evaluate scipy's formulas, with the same C-library exp, log and log1p on the
-same double operands, through elementwise(). numpy's own exp and log are not
-used because their SIMD loops differ from the C library in the last bit for
-some arguments, which would change the written panels.
+estimation and used by te_to_logit. Like every other transform in the
+package they are numpy ufunc expressions; tests/test_frontier.py holds them
+to scipy.special within a few ulp.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -26,49 +22,17 @@ from .errors import ValidationError
 #: Lower bound of the technical-efficiency range exp(-1).
 TE_LOWER = math.exp(-1.0)
 
-#: log(DBL_MAX): math.exp raises OverflowError above it, where C returns inf.
-_EXP_MAX = math.log(sys.float_info.max)
-
-
-def elementwise(func, values) -> np.ndarray:
-    """``func`` (a math-module function) applied to each element of a float
-    array, so the result has the C library's bits; the shape is kept. The
-    memoryview yields the doubles as floats without a temporary list."""
-    x = np.asarray(values, dtype=float)
-    return np.fromiter(map(func, memoryview(x.ravel())), float, x.size).reshape(x.shape)
-
-
 def expit(x) -> np.ndarray:
-    """Logistic 1/(1+exp(-x)), bit for bit as scipy.special.expit."""
-    neg = -np.asarray(x, dtype=float)
-    return 1.0 / (1.0 + elementwise(math.exp, np.where(neg > _EXP_MAX, np.inf, neg)))
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    """C log of each element: -inf at zero and nan below it, where math.log raises."""
-    out = np.where(x == 0.0, -np.inf, np.nan)
-    positive = x > 0.0
-    out[positive] = elementwise(math.log, x[positive])
-    return out
+    """Logistic 1/(1+exp(-x)); below about -709.8 exp overflows to inf, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def logit(p) -> np.ndarray:
-    """Log-odds log(p/(1-p)), bit for bit as scipy.special.logit.
-
-    scipy's two branches: log(p/(1-p)) below 0.3 and above 0.65; elsewhere,
-    nan included, log1p(s) - log1p(-s) with s = 2(p-0.5), which keeps
-    precision near p = 0.5.
-    """
+    """Log-odds log(p) - log1p(-p): -inf at 0, inf at 1, nan outside [0, 1]."""
     p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    outer = (p < 0.3) | (p > 0.65)
-    q = p[outer]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[outer] = _log(q / (1.0 - q))
-    inner = ~outer
-    s = 2.0 * (p[inner] - 0.5)
-    out[inner] = elementwise(math.log1p, s) - elementwise(math.log1p, -s)
-    return out
+        return np.log(p) - np.log1p(-p)
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -91,8 +55,10 @@ def cobb_douglas_log(log_inputs, beta0: float, beta):
 
 
 def inefficiency_mean(w, z, gamma, phi):
-    """Deterministic inefficiency logistic(w.gamma + z.phi), strictly in (0,1),
-    over the last axes of ``w`` and ``z``; leading axes are kept."""
+    """Deterministic inefficiency logistic(w.gamma + z.phi) over the last axes
+    of ``w`` and ``z``; leading axes are kept. The value lies in [0, 1]: it
+    rounds to exactly 1.0 from a predictor of about 37 and is exactly 0.0
+    below about -709.8, where exp overflows."""
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     g = np.asarray(gamma, dtype=float)
@@ -130,5 +96,4 @@ def te_to_logit(te):
         raise ValidationError(
             f"technical efficiency {float(bad)!r} outside (exp(-1), 1); cannot invert"
         )
-    u = -np.log(t)
-    return _scalar_or_array(np.log(u) - np.log1p(-u))
+    return _scalar_or_array(logit(-np.log(t)))

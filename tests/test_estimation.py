@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from stfrontier import (
     EstimationError,
@@ -14,10 +14,12 @@ from stfrontier import (
     estimate_model,
     fit_efficiency_glm,
     fit_frontier_gls,
+    inefficiency_mean,
     simulate_panel,
 )
 from stfrontier import estimation
 from stfrontier.estimation import predict_te
+from stfrontier.frontier import logit as frontier_logit
 from stfrontier.rng import derive_seed
 
 
@@ -298,9 +300,9 @@ class TestEfficiencyGLM:
         _, _, clamp_count = fit_efficiency_glm(bumped, panel)
         assert clamp_count == 2
 
-    def test_response_is_scipy_logit_of_clipped_residuals(self, monkeypatch):
-        # the clamped cells share one logit per bound; the response must keep
-        # the bits of logit(clip(u*)) over the whole panel
+    def test_response_is_frontier_logit_of_clipped_residuals(self, monkeypatch):
+        # the response must keep the bits of frontier.logit(clip(u*)) over the
+        # whole panel, clamped cells included
         panel = default_panel(n=200, t=30)[0]
         frontier = fit_frontier_gls(panel)
         res = frontier.residuals_u.copy()
@@ -319,7 +321,9 @@ class TestEfficiencyGLM:
         u_star = -frontier.residuals_u
         assert 0 < np.count_nonzero(u_star < lo) and 0 < np.count_nonzero(u_star > hi)
         assert clamp_count == np.count_nonzero((u_star < lo) | (u_star > hi))
-        np.testing.assert_array_equal(responses[0], logit(np.clip(u_star, lo, hi)).ravel())
+        np.testing.assert_array_equal(
+            responses[0], frontier_logit(np.clip(u_star, lo, hi)).ravel()
+        )
 
     def test_duplicated_regressor_raises(self):
         panel, frontier = self.synthetic()
@@ -356,6 +360,24 @@ class TestEstimateModel:
         np.testing.assert_allclose(
             result.te, predict_te(panel, result.gamma_hat, result.phi_hat)
         )
+
+    def test_saturated_predictors_keep_te_strictly_inside_its_range(self):
+        # the logistic rounds to exactly 1.0 at a predictor of 40 and to
+        # exactly 0.0 at -800, where exp(800) overflows; predict_te must still
+        # return TE strictly inside (exp(-1), 1), with no RuntimeWarning
+        eta = np.array([[40.0, -800.0, 40.0], [-800.0, 40.0, -800.0]])
+        panel = PanelDataset(
+            log_output=np.zeros((2, 3)),
+            log_inputs=np.zeros((2, 3, 1)),
+            spatial=eta[:, :, None],
+            covariates=np.zeros((2, 3, 1)),
+        )
+        np.testing.assert_array_equal(
+            inefficiency_mean(panel.spatial, panel.covariates, (1.0,), (0.0,)),
+            (eta > 0).astype(float),
+        )
+        te = predict_te(panel, (1.0,), (0.0,))
+        assert np.all(te > np.exp(-1)) and np.all(te < 1)
 
     def test_te_monotone_decreasing_in_predictor(self):
         grid = np.linspace(-8, 8, 101)

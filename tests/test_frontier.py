@@ -14,7 +14,7 @@ from stfrontier import (
     technical_efficiency,
 )
 from stfrontier.estimation import CLAMP_DELTA
-from stfrontier.frontier import elementwise, expit, logit
+from stfrontier.frontier import expit, logit
 
 
 class TestCobbDouglas:
@@ -154,11 +154,17 @@ class TestTeToLogit:
 
 
 class TestLogisticPairMatchesScipy:
-    """frontier.expit/logit against scipy.special, compared bit for bit.
+    """frontier.expit/logit against scipy.special, the reference.
 
-    Both sides evaluate one formula with the C library's exp, log and log1p
-    on the same doubles, so any difference at all is a fault.
+    The two sides evaluate the same functions with different exp, log and
+    log1p implementations (numpy's ufuncs against the C library's), so finite
+    results may differ by rounding: expit by at most EXPIT_ULPS ulp of
+    scipy's value, logit by at most LOGIT_EPS * eps * max(1, |scipy's|).
+    Non-finite results, and expit's exact 0 and 1, must equal scipy's.
     """
+
+    EXPIT_ULPS = 8
+    LOGIT_EPS = 4
 
     EDGES = [
         0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -175,12 +181,28 @@ class TestLogisticPairMatchesScipy:
     ]
 
     @staticmethod
-    def assert_same_bits(got, want):
+    def assert_close(got, want, tol, exact):
+        """|got - want| <= tol where want is finite and neither side is in
+        ``exact``; elsewhere got must equal want, nan matching nan."""
         assert got.dtype == want.dtype and got.shape == want.shape
+        pinned = ~np.isfinite(want) | np.isin(want, exact) | np.isin(got, exact)
         same = (got == want) | (np.isnan(got) & np.isnan(want))
-        assert same.all(), (np.count_nonzero(~same), got[~same][:5], want[~same][:5])
-        # signed zeros must match too
-        np.testing.assert_array_equal(np.signbit(got[got == 0]), np.signbit(want[want == 0]))
+        assert same[pinned].all(), (got[pinned & ~same][:5], want[pinned & ~same][:5])
+        got, want, tol = got[~pinned], want[~pinned], tol[~pinned]
+        assert np.isfinite(got).all()
+        ok = np.abs(got - want) <= tol
+        assert ok.all(), (np.count_nonzero(~ok), got[~ok][:5], want[~ok][:5])
+
+    def assert_expit_close(self, x):
+        want = special.expit(x)
+        tol = self.EXPIT_ULPS * np.spacing(np.abs(want))
+        self.assert_close(expit(x), want, tol, [0.0, 1.0])
+
+    def assert_logit_close(self, p):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = special.logit(p)
+        tol = self.LOGIT_EPS * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+        self.assert_close(logit(p), want, tol, [])
 
     def test_expit_sweep(self):
         rng = np.random.default_rng(2104)
@@ -192,7 +214,7 @@ class TestLogisticPairMatchesScipy:
             np.exp(rng.uniform(-745.0, 709.0, n)) * rng.choice([-1.0, 1.0], n),
             self.EDGES,
         ])
-        self.assert_same_bits(expit(x), special.expit(x))
+        self.assert_expit_close(x)
 
     def test_logit_sweep(self):
         rng = np.random.default_rng(1352)
@@ -205,22 +227,14 @@ class TestLogisticPairMatchesScipy:
             rng.uniform(-1.0, 2.0, 1000),
             self.UNIT_EDGES,
         ])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = special.logit(p)
-        self.assert_same_bits(logit(p), want)
+        self.assert_logit_close(p)
 
     def test_clamp_constants(self):
-        bounds = np.array([CLAMP_DELTA, 1.0 - CLAMP_DELTA])
-        self.assert_same_bits(logit(bounds), special.logit(bounds))
+        self.assert_logit_close(np.array([CLAMP_DELTA, 1.0 - CLAMP_DELTA]))
 
     def test_shape_kept(self):
         x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
-        self.assert_same_bits(expit(x), special.expit(x))
-        self.assert_same_bits(logit(expit(x)), special.logit(special.expit(x)))
+        self.assert_expit_close(x)
+        self.assert_logit_close(special.expit(x))
+        assert logit(expit(x)).shape == x.shape
         assert expit(np.float64(0.25)).shape == ()
-
-    def test_elementwise_is_the_c_library(self):
-        x = np.array([[0.1, 2.0], [3.5, 1e300]])
-        np.testing.assert_array_equal(
-            elementwise(math.log, x), [[math.log(v) for v in row] for row in x.tolist()]
-        )

@@ -719,16 +719,17 @@ class TestWriter:
 
     def test_pinned_panel_and_te_bytes(self, tmp_path):
         # the seed was fixed before these digests were recorded from the
-        # writer that called repr() once per value
+        # writer that called repr() once per value; both were recorded again
+        # when expit came to use numpy's exp (ledger D22)
         panel, _, u, _ = simulate_panel(Scenario(n_units=300, n_periods=60, seed=3031))
         meta = {"command": "pinned", "seed": 3031}
         write_panel_csv(panel, str(tmp_path / "panel.csv"), meta)
         write_te_csv(np.exp(-u), panel.unit_ids, panel.period_ids, str(tmp_path / "te.csv"), meta)
         assert sha(tmp_path / "panel.csv") == (
-            "775a3ac20c32d2295e81bd8c41ed12a25fc68dd08f3115dfb41db96456ff461c"
+            "2eece611e758f36c304be24d0170b8cc3668691f7356053d6752cfe3999e6a5f"
         )
         assert sha(tmp_path / "te.csv") == (
-            "682fc7268c97d6ca3c4bbe88412fa418322a3ded10c2529593d3bba10bc953be"
+            "f980391f6e5d5c8d7267c2a798709f5e977ea613a8700624b802dc1eca5225c7"
         )
 
     def test_memory_peak_below_the_readers(self, tmp_path):
@@ -1511,6 +1512,8 @@ class TestCli:
 # power grid still ran on a process pool. The estimate and test outputs were
 # recorded again when the frontier came to be solved from moments and ln y
 # from np.log (ledger D17); s2.json reads te.csv, so it moved with it.
+# te.csv was recorded again when expit and logit came to use numpy's exp and
+# log (ledger D22); the other nine kept their bits.
 PINNED_SHA256 = {
     "e.json": "bf1da5dbf547554aed2c0488d7a1940c60443871ea4660e87869fab532fe8782",
     "grid1.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
@@ -1521,7 +1524,7 @@ PINNED_SHA256 = {
     "s2.json": "d607a80a001b9bf82578926ad6fe44668a3254d407737aae238e0b0cf2bc8958",
     "split.csv": "ad35f9188575b4915bc2e1695a702f768accc8d4f64123b88f89a6e988b985ec",
     "t1.json": "ecd0a87fe31ef8fc0d6f9cb30c43a3568cd75219e715328367f5bd9e6b7c0988",
-    "te.csv": "17fcc253521eb8dce745e93341e0999a59d0098067070b2ef9afe5cfb2915406",
+    "te.csv": "1fec02dd654926ad12ab7c91a80e6b460e0aebc83718084bc763e7986a0a1d30",
 }
 
 # e.json of test_output_bytes_are_pinned as the quasi-difference GLS and
@@ -1675,7 +1678,9 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
 
 
 # Reports and a temporal-only power grid as the tree wrote them before the
-# temporal test was fixed at AR(1) (ledger D21): the kernel's bits held.
+# temporal test was fixed at AR(1) (ledger D21): the kernel's bits held. The
+# third and fourth reports were recorded again when expit came to use numpy's
+# exp (ledger D22), which moves the simulated panels at rounding level.
 @pytest.mark.parametrize(
     "scenario, flags, code, digest",
     [
@@ -1686,9 +1691,9 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
          "6806c52c141ec15994b02dbae8bcc844922412c95873db75b87b3f9fb65f2c87"),
         ({"n_units": 20, "n_periods": 60, "seed": 5, "contamination_fraction": 0.1,
           "temporal_shift_r": 0.6}, "--boot-k 100 --seed 1", 3,
-         "32c6b57fb071af395a948d182ec56576e06bd8ca266c12c88b11b39bf721d8f3"),
+         "41f20ddab374f0d0f9c3fcf2405294417fa129db1b0829f478f4295ba503c1c6"),
         ({"n_units": 30, "n_periods": 12, "seed": 6}, "--boot-k 300 --seed 4", 0,
-         "1b48e1cd4653ea3d2e1769f6d60c22371bdc6028e84af6ffe091558481d4746e"),
+         "7570619612abcd18a59d0368274a92f62f68545c623f4fe378d45879c88ad89a"),
     ],
 )
 def test_temporal_report_bytes_are_pinned(tmp_path, monkeypatch, scenario, flags, code, digest):
