@@ -11,8 +11,8 @@ deviation. Without this, N unguarded intervals reject far more often than
 alpha under the null.
 
 test_constant_temporal: do the units share one lag-1 autocorrelation
-coefficient? The model's noise is AR(1), so every unit's series (frontier
-residuals by default) is fit an AR(1) with intercept, all in one pass: their
+coefficient? The model's noise is AR(1), so every unit's series of frontier
+innovations is fit an AR(1) with intercept, all in one pass: their
 lag designs are stacked, checked as row masks, and factored by one batched
 SVD, so each fit equals a fit to that series alone; the fits stay stacked
 arrays up to the refit. Each unit's AR-sieve bootstrap (Buehlmann 1997) then
@@ -26,8 +26,8 @@ Generator.integers), the lagged and the new value swap between two arrays,
 and the refit's four sums are accumulated while the recursion runs, so no
 sieve series is stored. One elimination step of the N*k 2x2 normal equations
 gives the refit coefficients. Within a reused_buffers block, as around a
-power cell's replications or the cells of a run_grid share, the recursion's
-(N, k) arrays are allocated once and reused by every call of the same shape.
+power cell's replications, the recursion's (N, k) arrays are allocated once
+and reused by every call of the same shape.
 Each unit's deviation is studentised by its own bootstrap standard
 deviation. The null is rejected when at least one unit's interval excludes
 the cross-unit mean of the original estimates. The order is fixed at 1: at a
@@ -75,19 +75,18 @@ _MAX_RESAMPLE_RETRIES = 100
 #: fits do not exclude the cross-block mean through rounding alone.
 _INTERVAL_RTOL = 1e-9
 
-SERIES_SOURCES = ("frontier_residuals", "log_output")
-
 #: The sieve buffer set of this thread's innermost reused_buffers block.
 _held = threading.local()
 
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs shared by both bootstrap tests."""
+    """Settings shared by both bootstrap tests. The temporal test's series
+    (the frontier innovations) and its order (1) are fixed by the model, so
+    neither is a setting."""
 
     n_boot_k: int = 500
     alpha: float = 0.05
-    series_source: str = "frontier_residuals"
     seed: int = 0
 
     __test__ = False  # not a pytest class
@@ -102,10 +101,6 @@ class TestConfig:
             raise ValidationError(
                 f"alpha*n_boot_k = {alpha * self.n_boot_k:.3g} < 5; the max-t "
                 "critical value would sit on an unstable extreme order statistic"
-            )
-        if self.series_source not in SERIES_SOURCES:
-            raise ValidationError(
-                f"series_source must be one of {SERIES_SOURCES}, got {self.series_source!r}"
             )
         object.__setattr__(self, "seed", check_seed(self.seed))
 
@@ -255,8 +250,7 @@ def reused_buffers():
     key reuse; a call with another key replaces the set. Outside any block
     each call allocates its own. An inner block starts with no set, and on
     exit the enclosing block's set, if any, is restored; run_power_cell
-    opens a block only where holds_buffers() finds none, so a run_grid
-    share keeps one set across its cells. Without the block, malloc can
+    opens one around its replications. Without the block, malloc can
     hand a freed set's pages back to the system after each replication, and
     the next one faults them in again (ledger D18 in CHANGES.md).
     """
@@ -266,11 +260,6 @@ def reused_buffers():
         yield
     finally:
         _held.buffers = outer
-
-
-def holds_buffers() -> bool:
-    """Whether a reused_buffers block is open on this thread."""
-    return getattr(_held, "buffers", None) is not None
 
 
 def _sieve_buffers(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,12 +394,6 @@ def _simultaneous_intervals(
     return reference, intervals, n_failing
 
 
-def _unit_series(panel: PanelDataset, source: str) -> np.ndarray:
-    if source == "log_output":
-        return np.asarray(panel.log_output)
-    return fit_frontier_gls(panel).innovations
-
-
 def _null_sieve_draws(series, coeffs, residuals, config: TestConfig) -> np.ndarray:
     """Bootstrap draws of each unit's lag-1 coefficient, shape (N, k).
 
@@ -438,21 +421,22 @@ def _null_sieve_draws(series, coeffs, residuals, config: TestConfig) -> np.ndarr
 def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestReport:
     """AR-sieve bootstrap test of a common lag-1 autocorrelation coefficient.
 
-    The series must be longer than 4 (check_ar_length). Every unit is fit an
-    AR(1) first, in one pass; the first unit, in unit order, whose fit fails
-    is named in a BootstrapError. Each unit's sieve then runs with the
-    cross-unit mean coefficient, imposing the null. One unit-batched
-    recursion generates all N*k sieve series from one generator's
-    time-major innovation indices and sums their AR(1) refits' normal
-    equations as it goes; one elimination step then gives the N*k refit
-    coefficients. The per-unit intervals are simultaneous max-t intervals,
-    each studentised by the bootstrap standard deviation of that unit's
-    deviation from the replicate's cross-unit mean. Rejects when at least
-    one unit's interval excludes the cross-unit mean of the original
-    estimates.
+    The series must be longer than 4 (check_ar_length), which is checked
+    before the frontier is fit. Each unit's series is its innovations from
+    fit_frontier_gls. Every unit is fit an AR(1) first, in one pass; the
+    first unit, in unit order, whose fit fails is named in a BootstrapError.
+    Each unit's sieve then runs with the cross-unit mean coefficient,
+    imposing the null. One unit-batched recursion generates all N*k sieve
+    series from one generator's time-major innovation indices and sums their
+    AR(1) refits' normal equations as it goes; one elimination step then
+    gives the N*k refit coefficients. The per-unit intervals are
+    simultaneous max-t intervals, each studentised by the bootstrap standard
+    deviation of that unit's deviation from the replicate's cross-unit mean.
+    Rejects when at least one unit's interval excludes the cross-unit mean
+    of the original estimates.
     """
     check_ar_length(panel.n_periods)
-    series = _unit_series(panel, config.series_source)
+    series = fit_frontier_gls(panel).innovations
 
     fit, failure = _ar_fit_rows(series)
     if failure is not None:

@@ -17,12 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, io
-from .assumption_tests import (
-    SERIES_SOURCES,
-    TestConfig,
-    test_constant_spatial,
-    test_constant_temporal,
-)
+from .assumption_tests import TestConfig, test_constant_spatial, test_constant_temporal
 from .errors import BootstrapError, DataError, EstimationError, StfrontierError, ValidationError
 from .estimation import estimate_model
 from .power import run_grid
@@ -68,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         tst.add_argument("--boot-k", type=int, default=500)
         tst.add_argument("--alpha", type=float, default=0.05)
-        tst.add_argument(
-            "--series-source",
-            choices=[s.replace("_", "-") for s in SERIES_SOURCES],
-            default="frontier-residuals",
-        )
         tst.add_argument("--seed", type=int, default=None)
         tst.add_argument("--out", required=True, help="JSON report path")
 
@@ -148,12 +138,7 @@ def _te_for_panel(path: str, panel) -> np.ndarray:
 def _cmd_test(kind: str, args, argv) -> int:
     seed = _effective_seed(args.seed)
     # the settings are checked before the panel is read
-    config = TestConfig(
-        n_boot_k=args.boot_k,
-        alpha=args.alpha,
-        series_source=args.series_source.replace("-", "_"),
-        seed=seed,
-    )
+    config = TestConfig(n_boot_k=args.boot_k, alpha=args.alpha, seed=seed)
     panel = io.read_panel_csv(args.panel)
     if kind == "temporal":
         report = test_constant_temporal(panel, config)

@@ -138,14 +138,21 @@ def _csv_fields(labels) -> list[str]:
 
 def _check_labels(unit_ids, period_ids) -> None:
     """Reject labels that would not read back: the reader takes one line as
-    one row, and a line whose first field starts with '#' as a comment."""
+    one row, a line whose first field starts with '#' as a comment, and two
+    labels of one text as one label."""
     for kind, labels in (("unit", unit_ids), ("period", period_ids)):
+        seen = set()
         for label in map(str, labels):
             if "\n" in label or "\r" in label:
                 raise ValidationError(
                     f"{kind} label {label!r} contains a line break; "
                     "a CSV row must fit on one line"
                 )
+            if label in seen:
+                raise ValidationError(
+                    f"{kind} label {label!r} repeats; its rows would read back as one"
+                )
+            seen.add(label)
     for label in map(str, unit_ids):
         if label.lstrip().startswith("#"):
             raise ValidationError(
@@ -176,13 +183,14 @@ _PREFIX = _U64(int.from_bytes(b"\0-0.000\0", "little"))
 _POINT = _U64(ord("."))
 _ONES = _U64(0x0101010101010101)
 _ZEROS = _ONES * _U64(ord("0"))
+#: 5**k for k = 0..22, exact: the formatter takes k <= 18, the parser k <= 22.
+_POW5 = np.array([5**k for k in range(23)], _U64)
 
 
 @functools.cache
-def _format_tables() -> tuple[np.ndarray, np.ndarray]:
-    """5**k for k = 0..18, and the slot mask of every (sign, decimal point
-    position -3..15, digits shown 0..17); built on first use."""
-    pow5 = np.array([5**k for k in range(19)], _U64)
+def _format_tables() -> np.ndarray:
+    """The slot mask of every (sign, decimal point position -3..15, digits
+    shown 0..17); built on first use."""
     negative, point, shown = np.ogrid[0:2, -3:16, 0:18]
     digit = np.arange(17)
     keep = np.zeros((2, 19, 18, _SLOT), bool)
@@ -192,10 +200,10 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray]:
     keep[..., 7:24] = digit < point[..., None]
     keep[..., 24] = point >= 1
     keep[..., 31:48] = (digit >= np.maximum(point, 0)[..., None]) & (digit < shown[..., None])
-    return pow5, keep.reshape(-1, _SLOT)
+    return keep.reshape(-1, _SLOT)
 
 
-def _shortest_digits(a: np.ndarray, pow5: np.ndarray):
+def _shortest_digits(a: np.ndarray):
     """The digits repr() gives each float `a` > 0, as a 17-digit integer (the
     digits, then zeros) and the decimal exponent e10 of the first digit, with
     a mask of the values the result is exact for.
@@ -214,7 +222,7 @@ def _shortest_digits(a: np.ndarray, pow5: np.ndarray):
     e10 = np.clip(np.floor(np.log10(a)), -4, 14).astype(np.int64)
     k = 14 - e10
     s = (-(k + q)).astype(_U64)  # 3..49
-    p = pow5[k]
+    p = _POW5[k]
     # m * 5**k < 2**96 as two words, from products of 32-bit halves
     low32 = _U64(0xFFFFFFFF)
     m_hi, m_lo, p_hi, p_lo = m >> _U64(32), m & low32, p >> _U64(32), p & low32
@@ -271,11 +279,11 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outside that range, and the kernel's ties and misses.
     """
     x = np.asarray(values, dtype=float).ravel()
-    pow5, keep_table = _format_tables()
+    keep_table = _format_tables()
     a = np.abs(x)
     direct = (a >= 1e-4) & (a < 1e15) & (x.view(_U64) & _FRACTION != 0)
     # the others get a stand-in from the domain, so the arithmetic stays in range
-    digits, e10, exact = _shortest_digits(np.where(direct, a, 1.5), pow5)
+    digits, e10, exact = _shortest_digits(np.where(direct, a, 1.5))
     direct &= exact
     lead = digits // _U64(10**16)
     tail = digits - lead * _U64(10**16)
@@ -468,18 +476,17 @@ _HIGHS = _ONES * _U64(0x80)
 
 
 @functools.cache
-def _parse_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _parse_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The masks keep[j, x] of the bytes of window word j (window bytes
     8j..8j+7) at or above window byte x, x = 0..24; the multipliers that turn
-    a flag in byte i of word j into 8j + i + 1; and 5**k and 10.0**k for
-    k = 0..22, all exact. Built on first use."""
+    a flag in byte i of word j into 8j + i + 1; and 10.0**k for k = 0..22,
+    all exact. Built on first use."""
     low = [
         [(1 << 8 * min(max(x - 8 * j, 0), 8)) - 1 for x in range(_WINDOW + 1)] for j in range(3)
     ]
     marks = [sum((8 * j + i + 1) << 8 * (7 - i) for i in range(8)) for j in range(3)]
-    pow5 = np.array([5**k for k in range(23)], _U64)
     pow10 = np.array([float(10**k) for k in range(23)])
-    return ~np.array(low, _U64), np.array(marks, _U64), pow5, pow10
+    return ~np.array(low, _U64), np.array(marks, _U64), pow10
 
 
 def _unaligned_words(chars: np.ndarray) -> np.ndarray:
@@ -547,10 +554,10 @@ def _nearest_doubles(n: np.ndarray, k: np.ndarray):
     double. A move out of c's binade or onto m = 2**52, where the rounding
     interval is not symmetric, is not found (ledger D13 in CHANGES.md).
     """
-    pow5, pow10 = _parse_tables()[2:]
+    pow10 = _parse_tables()[2]
     bits = (n.astype(float) / pow10.take(k)).view(np.int64)
     s = 1076 - (bits >> 52) - k
-    p5 = pow5.take(k)
+    p5 = _POW5.take(k)
     up, down = np.maximum(s, 0).astype(_U64), np.maximum(-s, 0).astype(_U64)
     half = (p5 << down).view(np.int64)
     twice_m = (bits & ((1 << 52) - 1) | (1 << 52)).view(_U64) << _U64(1)
@@ -1060,9 +1067,8 @@ def grid_from_dict(data: dict) -> GridSpec:
     for name, cast in (("boot_k", int), ("alpha", float)):
         if name in data:
             kwargs[name] = _cast(data.pop(name), cast, name)
-    for name in ("series_source", "te_source"):
-        if name in data:
-            kwargs[name] = data.pop(name)
+    if "te_source" in data:
+        kwargs["te_source"] = data.pop("te_source")
     if data:
         raise DataError(f"unknown grid fields: {sorted(data)}")
     try:

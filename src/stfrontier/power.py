@@ -25,13 +25,12 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 from .assumption_tests import (
     TestConfig,
     check_ar_length,
-    holds_buffers,
     reused_buffers,
     test_constant_spatial,
     test_constant_temporal,
@@ -167,20 +166,20 @@ def run_power_cell(
     *,
     boot_k: int = 500,
     alpha: float = 0.05,
-    series_source: str = "frontier_residuals",
     te_source: str = "true",
 ) -> PowerCell:
     """Replicate simulate-then-test and aggregate the rejection count.
 
-    The temporal test fits each unit an AR(1), the model's noise, so it
-    takes no order. The spatial test consumes the simulated ground-truth TE
-    by default (te_source="true"); "estimated" feeds the model-predicted TE
-    instead. The test settings are checked once, before any replication. The
+    The temporal test fits each unit's frontier innovations an AR(1), the
+    model's noise, so it takes neither a series nor an order. The spatial
+    test consumes the simulated ground-truth TE by default
+    (te_source="true"); "estimated" feeds the model-predicted TE instead.
+    The test settings are checked once, before any replication. The
     replications run in one assumption_tests.reused_buffers block, so the
-    temporal sieve's working arrays are allocated once per cell, or in the
-    caller's block if one is open. Errors inside a replication are
-    collected; the cell is abandoned only when more than 1% of replications
-    fail. The rejection rate counts the completed replications only.
+    temporal sieve's working arrays are allocated once per cell. Errors
+    inside a replication are collected; the cell is abandoned only when more
+    than 1% of replications fail. The rejection rate counts the completed
+    replications only.
     """
     if test_kind not in TEST_KINDS:
         raise ValidationError(f"test_kind must be one of {TEST_KINDS}, got {test_kind!r}")
@@ -189,12 +188,11 @@ def run_power_cell(
     n_reps = as_count(n_reps, "n_reps", least=1)
     master_seed = check_seed(master_seed, "master_seed")
     key = cell_key(scenario, test_kind)
-    settings = TestConfig(n_boot_k=boot_k, alpha=alpha, series_source=series_source)
+    settings = TestConfig(n_boot_k=boot_k, alpha=alpha)
 
     rejections = 0
     failures: list[str] = []
-    # inside run_grid's share, the share's block keeps the set across cells
-    with nullcontext() if holds_buffers() else reused_buffers():
+    with reused_buffers():
         for rep in range(n_reps):
             rep_seed = derive_seed(master_seed, "power", key, rep)
             try:
@@ -234,7 +232,8 @@ class GridSpec:
     plus one power cell per (fraction, shift) pair. Shifts apply to rho for
     the temporal test and to gamma for the spatial test. The test settings
     are checked here, before any cell runs, and a grid with the temporal
-    test needs every T > 4, the length rule of its AR(1) fits.
+    test needs every T > 4, the length rule of its AR(1) fits. The temporal
+    test's series and order are fixed, so neither is a field.
     """
 
     test_kinds: tuple[str, ...] = ("temporal", "spatial")
@@ -246,7 +245,6 @@ class GridSpec:
     base_params: ModelParams = field(default_factory=default_power_params)
     boot_k: int = 500
     alpha: float = 0.05
-    series_source: str = "frontier_residuals"
     te_source: str = "true"
 
     def __post_init__(self):
@@ -257,7 +255,7 @@ class GridSpec:
             if dom not in DOMINANCE_SHARES:
                 raise ValidationError(f"unknown dominance {dom!r}")
         # the one check of the test settings; the seed is per replication
-        TestConfig(n_boot_k=self.boot_k, alpha=self.alpha, series_source=self.series_source)
+        TestConfig(n_boot_k=self.boot_k, alpha=self.alpha)
         if self.te_source not in TE_SOURCES:
             raise ValidationError(
                 f"te_source must be one of {TE_SOURCES}, got {self.te_source!r}"
@@ -345,10 +343,9 @@ def run_grid(
     are dealt into strided shares: this process runs the first and a forked
     child each other one. ``n_workers`` caps the processes, at least 1, None
     means no cap, and there are never more than fork_width() or the cells.
-    A share runs its cells in one assumption_tests.reused_buffers block, so
-    its consecutive temporal cells of one shape reuse one sieve buffer set.
-    Each share stops at its first error, and the earliest cell's error is
-    raised here, as a serial run would raise it.
+    Each cell keeps its own sieve buffer set (run_power_cell). Each share
+    stops at its first error, and the earliest cell's error is raised here,
+    as a serial run would raise it.
     """
     n_reps = as_count(n_reps, "n_reps", least=1)
     master_seed = check_seed(master_seed, "master_seed")
@@ -357,19 +354,18 @@ def run_grid(
         raise ValidationError("empty grid")
     cap = len(cells) if n_workers is None else as_count(n_workers, "n_workers", least=1)
     width = min(fork_width(), cap, len(cells))
-    names = ("boot_k", "alpha", "series_source", "te_source")
+    names = ("boot_k", "alpha", "te_source")
     settings = {name: getattr(grid_spec, name) for name in names}
 
     def share(first: int):
         """The cells first, first + width, ... in order, up to the first that
         raises, and that error or None."""
         done = []
-        with reused_buffers():  # consecutive cells of one shape share the sieve's set
-            for scenario, kind in cells[first::width]:
-                try:
-                    done.append(run_power_cell(scenario, kind, n_reps, master_seed, **settings))
-                except Exception as err:
-                    return done, err
+        for scenario, kind in cells[first::width]:
+            try:
+                done.append(run_power_cell(scenario, kind, n_reps, master_seed, **settings))
+            except Exception as err:
+                return done, err
         return done, None
 
     with ExitStack() as children:

@@ -169,7 +169,9 @@ class TestArFitRows:
         assert _ar_fit_rows(series)[1] is None
 
     @pytest.mark.parametrize("flat, collinear", [(1, 3), (3, 1)])
-    def test_temporal_test_names_the_first_bad_unit(self, flat, collinear):
+    def test_temporal_test_names_the_first_bad_unit(
+        self, flat, collinear, innovations_are_log_output
+    ):
         rng = np.random.default_rng(4)
         log_output = rng.normal(size=(5, 12))
         log_output[flat] = 1.25
@@ -184,7 +186,7 @@ class TestArFitRows:
         first = min(flat, collinear)
         with pytest.raises(EstimationError) as alone:
             ar_fit(log_output[first])
-        config = TestConfig(n_boot_k=100, seed=1, series_source="log_output")
+        config = TestConfig(n_boot_k=100, seed=1)
         with pytest.raises(BootstrapError) as raised:
             run_temporal_test(panel, config)
         assert str(raised.value) == f"AR fit failed for unit 'u{first}': {alone.value}"
@@ -210,7 +212,9 @@ class TestStabilization:
         coeffs, _ = stacked_fits(make_ar1(0.4, 30, seed=7)[None])
         assert _stabilized(coeffs[0, 1]) == coeffs[0, 1]
 
-    def test_reported_estimates_are_the_fits_not_the_sieved_lags(self):
+    def test_reported_estimates_are_the_fits_not_the_sieved_lags(
+        self, innovations_are_log_output
+    ):
         # every unit explodes at 1.1, so the pooled lag is rescaled for the sieve
         rng = np.random.default_rng(5)
         y = np.empty((6, 30))
@@ -222,7 +226,7 @@ class TestStabilization:
                              covariates=rng.normal(size=(6, 30, 1)))
         coeffs, _ = stacked_fits(y)
         assert coeffs[:, 1].mean() >= assumption_tests._STABILIZE_RADIUS
-        config = TestConfig(n_boot_k=100, seed=1, series_source="log_output")
+        config = TestConfig(n_boot_k=100, seed=1)
         report = run_temporal_test(panel, config)
         assert report.per_block_estimate == tuple(coeffs[:, 1])
 

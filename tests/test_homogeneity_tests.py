@@ -10,10 +10,13 @@ from stfrontier import (
     TestConfig,
     TestReport,
     ValidationError,
+    fit_frontier_gls,
     fit_spatial_slice,
     simulate_panel,
 )
+from stfrontier import assumption_tests
 from stfrontier.assumption_tests import (
+    _ar_fit_rows,
     _case_resample_slopes,
     test_constant_spatial as run_spatial_test,
     test_constant_temporal as run_temporal_test,
@@ -40,7 +43,6 @@ class TestConfigValidation:
             dict(alpha=0.6),
             dict(alpha=0.0),
             dict(n_boot_k=100, alpha=0.01),  # alpha*k = 1 < 5
-            dict(series_source="levels"),
             dict(n_boot_k=150.7),  # int() truncated this to 150 and True to 1
             dict(n_boot_k=True),
         ],
@@ -58,6 +60,13 @@ class TestConfigValidation:
         # the temporal test fits AR(1), the model's noise, and nothing else
         with pytest.raises(TypeError, match="ar_order_p"):
             TestConfig(ar_order_p=1)
+
+    @pytest.mark.parametrize("source", ["frontier_residuals", "log_output"])
+    def test_series_source_is_not_a_setting(self, source):
+        # the temporal test runs on the frontier innovations, the model's
+        # estimate of its AR(1) noise, and on nothing else
+        with pytest.raises(TypeError, match="series_source"):
+            TestConfig(series_source=source)
 
 
 class TestReportContract:
@@ -95,21 +104,26 @@ class TestTemporal:
         assert a.reject == b.reject
 
     @pytest.mark.parametrize("t", [3, 4])
-    def test_length_rule_is_checked_before_any_fit(self, t):
-        # a ValidationError up front, not a failed fit in every unit
+    def test_length_rule_is_checked_before_any_fit(self, t, monkeypatch):
+        # a ValidationError up front, not a failed fit in every unit, and
+        # before the frontier is fit
         panel, *_ = simulate_panel(power_scenario(n_periods=t))
-        for source in ("frontier_residuals", "log_output"):
-            config = TestConfig(n_boot_k=120, seed=5, series_source=source)
-            with pytest.raises(ValidationError, match=rf"too short for AR\(1\): need T > 4, got T={t}"):
-                run_temporal_test(panel, config)
+
+        def unreachable(panel):
+            raise AssertionError("the frontier was fit before the length rule")
+
+        monkeypatch.setattr(assumption_tests, "fit_frontier_gls", unreachable)
+        config = TestConfig(n_boot_k=120, seed=5)
+        with pytest.raises(ValidationError, match=rf"too short for AR\(1\): need T > 4, got T={t}"):
+            run_temporal_test(panel, config)
 
     @pytest.mark.parametrize("t", [5, 6])
-    def test_shortest_allowed_series_runs(self, t):
+    def test_shortest_allowed_series_runs(self, t, innovations_are_log_output):
         panel, *_ = simulate_panel(power_scenario(n_periods=t))
-        config = TestConfig(n_boot_k=120, seed=5, series_source="log_output")
+        config = TestConfig(n_boot_k=120, seed=5)
         assert len(run_temporal_test(panel, config).per_block_estimate) == panel.n_units
 
-    def test_constant_unit_series_aborts_with_unit_name(self):
+    def test_constant_unit_series_aborts_with_unit_name(self, innovations_are_log_output):
         rng = np.random.default_rng(0)
         log_output = rng.normal(size=(4, 12))
         log_output[2, :] = 1.25  # zero-variance series for unit "u2"
@@ -120,11 +134,11 @@ class TestTemporal:
             covariates=rng.normal(size=(4, 12, 1)),
             unit_ids=("u0", "u1", "u2", "u3"),
         )
-        cfg = TestConfig(n_boot_k=120, seed=1, series_source="log_output")
+        cfg = TestConfig(n_boot_k=120, seed=1)
         with pytest.raises(BootstrapError, match="unit 'u2'.*zero-variance"):
             run_temporal_test(panel, cfg)
 
-    def test_outlier_unit_triggers_rejection(self):
+    def test_outlier_unit_triggers_rejection(self, innovations_are_log_output):
         # one strongly autocorrelated unit among white-noise units
         rng = np.random.default_rng(11)
         log_output = rng.normal(size=(10, 24)) * 0.3
@@ -139,18 +153,17 @@ class TestTemporal:
             spatial=rng.normal(size=(10, 24, 1)),
             covariates=rng.normal(size=(10, 24, 1)),
         )
-        cfg = TestConfig(n_boot_k=200, seed=2, series_source="log_output")
+        cfg = TestConfig(n_boot_k=200, seed=2)
         report = run_temporal_test(panel, cfg)
         assert report.reject
         assert report.per_block_estimate[0] > max(report.per_block_estimate[1:])
 
-    def test_temporal_uses_frontier_residuals_by_default(self):
+    def test_estimates_are_the_lag_coefficients_of_the_frontier_innovations(self):
         panel, *_ = simulate_panel(power_scenario())
-        res = run_temporal_test(panel, TestConfig(n_boot_k=120, seed=3))
-        lvl = run_temporal_test(
-            panel, TestConfig(n_boot_k=120, seed=3, series_source="log_output")
-        )
-        assert res.per_block_estimate != lvl.per_block_estimate
+        report = run_temporal_test(panel, TestConfig(n_boot_k=120, seed=3))
+        (coeffs, _, _), failure = _ar_fit_rows(fit_frontier_gls(panel).innovations)
+        assert failure is None
+        assert report.per_block_estimate == tuple(coeffs[:, 1])
 
 
 class TestSpatialSlice:

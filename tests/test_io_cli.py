@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -763,6 +764,23 @@ class TestWriter:
             write_te_csv(np.full((2, 3), 0.5), units, periods, str(target))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["unit", "period"])
+    @pytest.mark.parametrize("labels, repeated", [(("a", "a", "b"), "a"), ((1, "1", 2), "1")])
+    @pytest.mark.parametrize("writer", ["panel", "te"])
+    def test_labels_whose_text_repeats_are_rejected(self, tmp_path, kind, labels, repeated,
+                                                    writer):
+        # the readers key rows by label text, so these files would not read back
+        ids = {"unit_ids": ("u0", "u1", "u2"), "period_ids": ("p0", "p1", "p2")}
+        ids[f"{kind}_ids"] = labels
+        target = tmp_path / f"{writer}.csv"
+        message = re.escape(f"{kind} label {repeated!r} repeats")
+        with pytest.raises(ValidationError, match=message):
+            if writer == "panel":
+                write_panel_csv(replace(simulated_panel(n=3, t=3), **ids), str(target))
+            else:
+                write_te_csv(np.full((3, 3), 0.5), *ids.values(), str(target))
+        assert not target.exists()
+
     def test_new_files_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o027)
         try:
@@ -1142,7 +1160,7 @@ class TestCli:
         assert te.shape == (8, 9)
         assert np.all(te > math.exp(-1)) and np.all(te < 1)
 
-    def test_temporal_rejection_exit_code(self, tmp_path):
+    def test_temporal_rejection_exit_code(self, tmp_path, innovations_are_log_output):
         # plant a near-unit-root unit so the temporal test must reject
         rng = np.random.default_rng(1)
         n, t = 8, 24
@@ -1165,8 +1183,6 @@ class TestCli:
                 "test-temporal",
                 "--panel",
                 str(panel_csv),
-                "--series-source",
-                "log-output",
                 "--boot-k",
                 "200",
                 "--seed",
@@ -1210,6 +1226,21 @@ class TestCli:
         capsys.readouterr()
         assert parse_and_dispatch(argv) == 1
         assert f"unrecognized arguments: --ar-order {order}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("kind", ["temporal", "spatial"])
+    @pytest.mark.parametrize("source", ["frontier-residuals", "log-output"])
+    def test_series_source_flag_is_a_usage_error(self, tmp_path, capsys, kind, source):
+        # the temporal test runs on the frontier innovations; no series is
+        # taken, not even the old default
+        argv = [f"test-{kind}", "--panel", str(tmp_path / "missing.csv"),
+                "--series-source", source, "--seed", "1", "--out", str(tmp_path / "report.json")]
+        with pytest.raises(SystemExit) as parsed:
+            _build_parser().parse_args(argv)
+        assert parsed.value.code == 2  # argparse's own usage exit
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 1
+        assert f"unrecognized arguments: --series-source {source}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("kind", ["temporal", "spatial"])
@@ -1400,10 +1431,9 @@ class TestCli:
             ({"n_values": ["x"]}, "n_values[0] must be an integer, got 'x'"),
             ({"base_params": {"rho": "a"}}, "base_params.rho must be a number, got 'a'"),
             ({"base_params": [1]}, "base_params must be an object, got [1]"),
-            (
-                {"series_source": "bogus"},
-                "series_source must be one of ('frontier_residuals', 'log_output'), got 'bogus'",
-            ),
+            # the series is fixed to the frontier innovations, so the field is refused
+            ({"series_source": "bogus"}, "unknown grid fields: ['series_source']"),
+            ({"series_source": "frontier_residuals"}, "unknown grid fields: ['series_source']"),
             ({"te_source": 3}, "te_source must be one of ('true', 'estimated'), got 3"),
             # these three used to simulate every replication and then exit 2
             ({"boot_k": 50}, "n_boot_k must be >= 100, got 50"),
@@ -1679,14 +1709,11 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
 
 # Reports and a temporal-only power grid as the tree wrote them before the
 # temporal test was fixed at AR(1) (ledger D21): the kernel's bits held. The
-# third and fourth reports were recorded again when expit came to use numpy's
+# second and third reports were recorded again when expit came to use numpy's
 # exp (ledger D22), which moves the simulated panels at rounding level.
 @pytest.mark.parametrize(
     "scenario, flags, code, digest",
     [
-        ({"n_units": 12, "n_periods": 10, "seed": 4},
-         "--series-source log-output --boot-k 100 --seed 2", 0,
-         "7960ccd53fa92fd53ae811cb60c5ba7063023e4363411cdf021972549557eb9e"),
         ({"n_units": 12, "n_periods": 10, "seed": 4}, "--alpha 0.1 --boot-k 200 --seed 3", 0,
          "6806c52c141ec15994b02dbae8bcc844922412c95873db75b87b3f9fb65f2c87"),
         ({"n_units": 20, "n_periods": 60, "seed": 5, "contamination_fraction": 0.1,

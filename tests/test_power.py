@@ -117,20 +117,6 @@ class TestRunPowerCell:
         assert seen[0] is seen[1] is seen[2]
         assert assumption_tests._sieve_buffers(8, 100) is not seen[0]  # freed with the cell
 
-    def test_a_share_of_same_shape_cells_allocates_one_sieve_buffer_set(self, monkeypatch):
-        allocate = assumption_tests._sieve_buffers
-        sets = []
-
-        def record(n, k):
-            sets.append(allocate(n, k))
-            return sets[-1]
-
-        monkeypatch.setattr(assumption_tests, "_sieve_buffers", record)
-        grid = tiny_grid(test_kinds=("temporal",))  # two cells of one (N, k)
-        run_grid(grid, 2, master_seed=3, n_workers=1)
-        assert len(sets) == 4 and len({id(buffers) for buffers in sets}) == 1
-        assert allocate(8, 100) is not sets[0]  # freed with the share
-
     def test_cell_key_excludes_seed(self):
         a = cell_key(tiny_scenario(seed=1), "temporal")
         b = cell_key(tiny_scenario(seed=2), "temporal")
@@ -234,7 +220,6 @@ class TestGridSpec:
         [
             ({"n_values": (8, 20.5)}, "n_values[1] must be an integer, got 20.5"),
             ({"t_values": (9.9,)}, "t_values[0] must be an integer, got 9.9"),
-            ({"series_source": "bogus"}, "series_source must be one of"),
             ({"te_source": "model"}, "te_source must be one of"),
         ],
     )
@@ -254,6 +239,14 @@ class TestGridSpec:
             tiny_grid(test_kinds=("temporal",), ar_order_p=1)
         with pytest.raises(TypeError, match="ar_order_p"):
             run_power_cell(tiny_scenario(), "temporal", 1, master_seed=1, ar_order_p=1)
+
+    @pytest.mark.parametrize("source", ["frontier_residuals", "log_output"])
+    def test_series_source_is_not_a_setting(self, source):
+        # the temporal test runs on the frontier innovations and nothing else
+        with pytest.raises(TypeError, match="series_source"):
+            tiny_grid(test_kinds=("temporal",), series_source=source)
+        with pytest.raises(TypeError, match="series_source"):
+            run_power_cell(tiny_scenario(), "temporal", 1, master_seed=1, series_source=source)
 
     def test_temporal_grid_accepts_the_shortest_allowed_series(self):
         grid = tiny_grid(test_kinds=("temporal",), t_values=(5, 12))
