@@ -49,8 +49,9 @@ import shutil
 import stat
 import sys
 import tempfile
+import typing
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from io import BufferedReader, RawIOBase, StringIO, TextIOWrapper
 
 import numpy as np
@@ -59,8 +60,8 @@ from . import __version__
 from .assumption_tests import TestReport
 from .errors import DataError, ValidationError
 from .estimation import EstimationResult
-from .power import GridSpec, PowerTable, default_power_params, fork_width, forked as _forked
-from .types import ModelParams, PanelDataset, Scenario, as_count
+from .power import GridSpec, PowerTable, fork_width, forked as _forked
+from .types import PanelDataset, Scenario, as_count
 
 
 def _versioned(meta: dict | None) -> dict:
@@ -952,13 +953,17 @@ def read_te_csv(path: str) -> tuple[np.ndarray, tuple, tuple]:
 # scenario / grid JSON
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    out = asdict(scenario)
-    out["base_params"] = asdict(scenario.base_params)
-    return out
-
-
 _TYPE_WORDS = {int: "an integer", float: "a number"}
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """Each field of the dataclass `cls` as (annotation, item type of a tuple
+    or None), resolved once per class."""
+    return {
+        name: (hint, typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None)
+        for name, hint in typing.get_type_hints(cls).items()
+    }
 
 
 def _cast(value, cast, name: str):
@@ -966,7 +971,8 @@ def _cast(value, cast, name: str):
 
     A string is converted as int() or float() converts it. Any other value
     due as an int follows types.as_count, which refuses a bool and a float
-    with a fraction; a bool is refused as a float too.
+    with a fraction; a bool is refused as a float too. So `7`, `7.0` and
+    `"7"` read as 7 in every integer field.
     """
     try:
         if isinstance(value, str):
@@ -980,42 +986,47 @@ def _cast(value, cast, name: str):
     raise DataError(f"{name} must be {_TYPE_WORDS[cast]}, got {value!r}")
 
 
-def _model_params(params, default) -> ModelParams:
-    """base_params from JSON, or default() where the key is absent."""
-    if params is None:
-        return default()
-    if not isinstance(params, dict):
-        raise DataError(f"base_params must be an object, got {params!r}")
-    scalars = ("beta0", "rho", "sigma_psi", "sigma_eps")
-    params = {
-        name: _cast(value, float, f"base_params.{name}") if name in scalars else value
-        for name, value in params.items()
-    }
+def _from_json(cls, data, what: str, prefix: str = ""):
+    """The dataclass `cls` built from the JSON object `data`, each field read
+    by its annotation.
+
+    An int or a float field goes through _cast. A tuple field must be a JSON
+    list, and each item is cast by the tuple's item type (a str item by
+    str()). A dataclass field is read by this function under the key's
+    prefix, and null gives its default. Any other field is passed as it is.
+    Absent keys take the dataclass defaults; unknown keys are one DataError
+    that names `what`. The values are checked by cls.__post_init__ alone.
+    """
+    if not isinstance(data, dict):
+        raise DataError(f"{what} must be an object, got {data!r}")
+    fields = _fields(cls)
+    if not fields.keys() >= data.keys():
+        raise DataError(f"unknown {what} fields: {sorted(data.keys() - fields.keys())}")
+    kwargs = {}
+    for name, value in data.items():
+        label, (hint, item) = prefix + name, fields[name]
+        if item is not None:
+            if not isinstance(value, list):
+                raise DataError(f"{label} must be a list, got {value!r}")
+            value = tuple(
+                str(v) if item is str else _cast(v, item, f"{label}[{i}]")
+                for i, v in enumerate(value)
+            )
+        elif hint in _TYPE_WORDS:
+            value = _cast(value, hint, label)
+        elif is_dataclass(hint):
+            if value is None:
+                continue
+            value = _from_json(hint, value, label, label + ".")
+        kwargs[name] = value
     try:
-        return ModelParams(**params)
+        return cls(**kwargs)
     except TypeError as err:
-        raise DataError(f"bad base_params: {err}") from err
+        raise DataError(f"bad {what} JSON: {err}") from err
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    data = dict(data)
-    base = _model_params(data.pop("base_params", None), ModelParams)
-    for name, cast in (
-        ("n_units", int),
-        ("n_periods", int),
-        ("contamination_fraction", float),
-        ("temporal_shift_r", float),
-        ("spatial_shift_g", float),
-    ):
-        if name in data:
-            data[name] = _cast(data[name], cast, name)
-    try:
-        return Scenario(base_params=base, **data)
-    except TypeError as err:
-        raise DataError(f"bad scenario JSON: {err}") from err
-
-
-def _read_json_object(path: str, what: str) -> dict:
+def _read_json(path: str, cls, what: str):
+    """The `cls` that the JSON file at `path` describes; its "meta" is dropped."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -1025,60 +1036,24 @@ def _read_json_object(path: str, what: str) -> dict:
             raise _not_utf8(path, err) from err
     if not isinstance(data, dict):
         raise DataError(f"{path}: {what} JSON must be an object")
-    return data
+    data.pop("meta", None)
+    return _from_json(cls, data, what)
 
 
 def read_scenario_json(path: str) -> Scenario:
-    data = _read_json_object(path, "scenario")
-    data.pop("meta", None)
-    return scenario_from_dict(data)
+    return _read_json(path, Scenario, "scenario")
 
 
 def write_scenario_json(scenario: Scenario, path: str, meta: dict | None = None) -> None:
     payload: dict = {}
     if meta is not None:
         payload["meta"] = _versioned(meta)
-    payload.update(scenario_to_dict(scenario))
+    payload.update(asdict(scenario))
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def grid_from_dict(data: dict) -> GridSpec:
-    data = dict(data)
-    data.pop("meta", None)
-    base = _model_params(data.pop("base_params", None), default_power_params)
-    kwargs: dict = {}
-    list_fields = {
-        "test_kinds": str,
-        "n_values": int,
-        "t_values": int,
-        "dominances": str,
-        "fractions": float,
-        "shifts": float,
-    }
-    for name, cast in list_fields.items():
-        if name in data:
-            values = data.pop(name)
-            if not isinstance(values, list):
-                raise DataError(f"{name} must be a list, got {values!r}")
-            kwargs[name] = tuple(
-                str(v) if cast is str else _cast(v, cast, f"{name}[{i}]")
-                for i, v in enumerate(values)
-            )
-    for name, cast in (("boot_k", int), ("alpha", float)):
-        if name in data:
-            kwargs[name] = _cast(data.pop(name), cast, name)
-    if "te_source" in data:
-        kwargs["te_source"] = data.pop("te_source")
-    if data:
-        raise DataError(f"unknown grid fields: {sorted(data)}")
-    try:
-        return GridSpec(base_params=base, **kwargs)
-    except TypeError as err:
-        raise DataError(f"bad grid JSON: {err}") from err
-
-
 def read_grid_json(path: str) -> GridSpec:
-    return grid_from_dict(_read_json_object(path, "grid"))
+    return _read_json(path, GridSpec, "grid")
 
 
 # ---------------------------------------------------------------------------

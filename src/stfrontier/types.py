@@ -106,7 +106,8 @@ class PanelDataset:
     """Balanced N x T panel: log output, log inputs, spatial measures, covariates.
 
     Arrays are validated for consistent shape and finiteness and frozen after
-    construction, so instances are safe to share across threads.
+    construction, so instances are safe to share across threads. No two unit
+    labels, and no two period labels, may have the same str() text.
     """
 
     log_output: np.ndarray  # (N, T)
@@ -142,6 +143,13 @@ class PanelDataset:
             raise ValidationError(f"unit_ids has {len(unit_ids)} labels for N={n} units")
         if len(period_ids) != t:
             raise ValidationError(f"period_ids has {len(period_ids)} labels for T={t} periods")
+        # two labels are one when their text is: the CSV files key rows by it
+        for kind, labels in (("unit", unit_ids), ("period", period_ids)):
+            seen = set()
+            for text in map(str, labels):
+                if text in seen:
+                    raise ValidationError(f"{kind} label {text!r} repeats")
+                seen.add(text)
         object.__setattr__(self, "unit_ids", tuple(unit_ids))
         object.__setattr__(self, "period_ids", tuple(period_ids))
 

@@ -12,14 +12,18 @@ import threading
 import time
 import tracemalloc
 from array import array
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stfrontier.io as stio
 from stfrontier import (
+    DOMINANCE_SHARES,
     DataError,
+    GridSpec,
     ModelParams,
     PanelDataset,
     Scenario,
@@ -30,6 +34,7 @@ from stfrontier import (
 from stfrontier.cli import _build_parser, parse_and_dispatch
 from stfrontier.io import (
     _parse_header,
+    read_grid_json,
     read_panel_csv,
     read_scenario_json,
     read_te_csv,
@@ -766,19 +771,15 @@ class TestWriter:
 
     @pytest.mark.parametrize("kind", ["unit", "period"])
     @pytest.mark.parametrize("labels, repeated", [(("a", "a", "b"), "a"), ((1, "1", 2), "1")])
-    @pytest.mark.parametrize("writer", ["panel", "te"])
-    def test_labels_whose_text_repeats_are_rejected(self, tmp_path, kind, labels, repeated,
-                                                    writer):
-        # the readers key rows by label text, so these files would not read back
+    def test_labels_whose_text_repeats_are_rejected(self, tmp_path, kind, labels, repeated):
+        # the readers key rows by label text, so these files would not read back;
+        # a PanelDataset refuses such labels itself, so only the TE writer sees them
         ids = {"unit_ids": ("u0", "u1", "u2"), "period_ids": ("p0", "p1", "p2")}
         ids[f"{kind}_ids"] = labels
-        target = tmp_path / f"{writer}.csv"
+        target = tmp_path / "te.csv"
         message = re.escape(f"{kind} label {repeated!r} repeats")
         with pytest.raises(ValidationError, match=message):
-            if writer == "panel":
-                write_panel_csv(replace(simulated_panel(n=3, t=3), **ids), str(target))
-            else:
-                write_te_csv(np.full((3, 3), 0.5), *ids.values(), str(target))
+            write_te_csv(np.full((3, 3), 0.5), *ids.values(), str(target))
         assert not target.exists()
 
     def test_new_files_get_the_umask_mode(self, tmp_path):
@@ -1087,6 +1088,176 @@ class TestScenarioJson:
         target.write_text(json.dumps({"n_units": 5, "n_periods": 6, "bogus": 1}))
         with pytest.raises(DataError, match="bogus"):
             read_scenario_json(str(target))
+
+
+SCENARIO_JSON = {"n_units": 8, "n_periods": 9, "seed": 3}
+GRID_JSON = {"test_kinds": ["spatial"], "n_values": [8], "t_values": [9],
+             "dominances": ["equal"], "fractions": [0.2], "shifts": [1.5], "boot_k": 100}
+
+
+def _read_config(tmp_path, what, fields):
+    """The scenario or grid read from its base JSON object updated by `fields`."""
+    target = tmp_path / f"{what}.json"
+    base = SCENARIO_JSON if what == "scenario" else GRID_JSON
+    target.write_text(json.dumps({**base, **fields}))
+    return (read_scenario_json if what == "scenario" else read_grid_json)(str(target))
+
+
+# Every int and float field of the three JSON dataclasses, written out by hand
+# so that this table, not the annotations, says which fields are numbers.
+BASE_PARAMS_NUMBERS = [
+    ({"beta0": "x"}, "beta0"),
+    ({"beta": ["x"]}, "beta[0]"),
+    ({"rho": "x"}, "rho"),
+    ({"gamma": ["x"]}, "gamma[0]"),
+    ({"phi": ["x"]}, "phi[0]"),
+    ({"sigma_psi": "x"}, "sigma_psi"),
+    ({"sigma_eps": "x"}, "sigma_eps"),
+]
+NUMERIC_FIELDS = [
+    ("scenario", {"n_units": "x"}, "n_units", "an integer"),
+    ("scenario", {"n_periods": "x"}, "n_periods", "an integer"),
+    ("scenario", {"contamination_fraction": "x"}, "contamination_fraction", "a number"),
+    ("scenario", {"temporal_shift_r": "x"}, "temporal_shift_r", "a number"),
+    ("scenario", {"spatial_shift_g": "x"}, "spatial_shift_g", "a number"),
+    ("scenario", {"seed": "x"}, "seed", "an integer"),
+    ("grid", {"n_values": ["x"]}, "n_values[0]", "an integer"),
+    ("grid", {"t_values": [9, "x"]}, "t_values[1]", "an integer"),
+    ("grid", {"fractions": ["x"]}, "fractions[0]", "a number"),
+    ("grid", {"shifts": ["x"]}, "shifts[0]", "a number"),
+    ("grid", {"boot_k": "x"}, "boot_k", "an integer"),
+    ("grid", {"alpha": "x"}, "alpha", "a number"),
+] + [
+    (what, {"base_params": params}, f"base_params.{label}", "a number")
+    for what in ("scenario", "grid")
+    for params, label in BASE_PARAMS_NUMBERS
+]
+
+
+class TestConfigJson:
+    @pytest.mark.parametrize("what, fields, label, word", NUMERIC_FIELDS,
+                             ids=[f"{what}-{label}" for what, _, label, _ in NUMERIC_FIELDS])
+    def test_numeric_fields_name_a_bad_value(self, tmp_path, what, fields, label, word):
+        with pytest.raises(DataError, match=re.escape(f"{label} must be {word}, got 'x'")):
+            _read_config(tmp_path, what, fields)
+
+    @pytest.mark.parametrize("value", [7, 7.0, "7"])
+    def test_seed_follows_the_integer_rule(self, tmp_path, value):
+        # 7.0 and "7" used to be refused here while n_units took them
+        scenario = _read_config(tmp_path, "scenario", {"seed": value})
+        assert scenario.seed == 7 and type(scenario.seed) is int
+
+    @pytest.mark.parametrize("value", [True, 7.5, None])
+    def test_seed_refuses_what_an_integer_field_refuses(self, tmp_path, value):
+        with pytest.raises(DataError, match=re.escape(f"seed must be an integer, got {value!r}")):
+            _read_config(tmp_path, "scenario", {"seed": value})
+
+    @pytest.mark.parametrize("what", ["scenario", "grid"])
+    @pytest.mark.parametrize("name", ["beta", "gamma", "phi"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(0.3, "{} must be a list, got 0.3"), ([True], "{}[0] must be a number, got True")],
+        ids=["scalar", "bool-item"],
+    )
+    def test_base_params_tuples_are_lists_of_numbers(self, tmp_path, what, name, value,
+                                                     message):
+        # both values used to be read as (0.3,) and (1.0,)
+        with pytest.raises(DataError, match=re.escape(message.format(f"base_params.{name}"))):
+            _read_config(tmp_path, what, {"base_params": {name: value}})
+
+    @pytest.mark.parametrize(
+        "what, fields, message",
+        [
+            ("scenario", {"zeta": 1, "alpha": 0.1},
+             "unknown scenario fields: ['alpha', 'zeta']"),
+            ("scenario", {"base_params": {"rho": 0.2, "zeta": 1, "delta": 2}},
+             "unknown base_params fields: ['delta', 'zeta']"),
+            ("grid", {"seed": 1, "boot": 100}, "unknown grid fields: ['boot', 'seed']"),
+            ("grid", {"base_params": {"zeta": 1, "delta": 2}},
+             "unknown base_params fields: ['delta', 'zeta']"),
+        ],
+    )
+    def test_unknown_fields_are_named_sorted(self, tmp_path, what, fields, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            _read_config(tmp_path, what, fields)
+
+    @pytest.mark.parametrize("what", ["scenario", "grid"])
+    def test_meta_is_dropped(self, tmp_path, what):
+        meta = {"meta": {"version": "0", "command": "x"}}
+        assert _read_config(tmp_path, what, meta) == _read_config(tmp_path, what, {})
+
+    @pytest.mark.parametrize("what", ["scenario", "grid"])
+    def test_absent_or_null_base_params_take_the_default(self, tmp_path, what):
+        default = Scenario(n_units=8, n_periods=9).base_params if what == "scenario" else (
+            GridSpec().base_params)
+        assert _read_config(tmp_path, what, {}).base_params == default
+        assert _read_config(tmp_path, what, {"base_params": None}).base_params == default
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MODEL_PARAMS = st.builds(
+    ModelParams,
+    beta0=FINITE,
+    beta=st.lists(FINITE, min_size=1, max_size=3).map(tuple),
+    rho=st.floats(-0.99, 0.99),
+    gamma=st.lists(FINITE, min_size=1, max_size=3).map(tuple),
+    phi=st.lists(FINITE, min_size=1, max_size=3).map(tuple),
+    sigma_psi=st.floats(0, 1e6),
+    sigma_eps=st.floats(0, 1e6),
+)
+# derandomized, so every run draws the same examples; the one file is rewritten
+ROUND_TRIP = settings(derandomize=True, max_examples=50, deadline=None, database=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def scenarios(draw):
+    fraction = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.5)))
+    params = draw(MODEL_PARAMS)
+    # a contaminated rho*(1+r) must stay inside (-1, 1)
+    bound = min(0.99 / abs(params.rho) - 1, 1e6) if fraction and params.rho else 1e6
+    return Scenario(
+        n_units=draw(st.integers(2, 10**6)),
+        n_periods=draw(st.integers(3, 10**6)),
+        dominance=draw(st.sampled_from(sorted(DOMINANCE_SHARES))),
+        contamination_fraction=fraction,
+        temporal_shift_r=draw(st.floats(-bound, bound)),
+        spatial_shift_g=draw(FINITE),
+        base_params=params,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+GRIDS = st.builds(
+    GridSpec,
+    test_kinds=st.lists(st.sampled_from(["temporal", "spatial"]), max_size=2).map(tuple),
+    n_values=st.lists(st.integers(2, 10**4), min_size=1, max_size=3).map(tuple),
+    t_values=st.lists(st.integers(5, 10**4), min_size=1, max_size=3).map(tuple),
+    dominances=st.lists(st.sampled_from(sorted(DOMINANCE_SHARES)), min_size=1,
+                        max_size=3).map(tuple),
+    fractions=st.lists(FINITE, max_size=3).map(tuple),
+    shifts=st.lists(FINITE, max_size=3).map(tuple),
+    base_params=MODEL_PARAMS,
+    boot_k=st.integers(100, 10**5),
+    alpha=st.floats(0.05, 0.49),
+    te_source=st.sampled_from(["true", "estimated"]),
+)
+
+
+class TestConfigJsonRoundTrip:
+    @ROUND_TRIP
+    @given(scenario=scenarios())
+    def test_scenario_reads_back_equal(self, tmp_path, scenario):
+        target = tmp_path / "scenario.json"
+        write_scenario_json(scenario, str(target), meta={"command": "x"})
+        assert read_scenario_json(str(target)) == scenario
+
+    @ROUND_TRIP
+    @given(grid=GRIDS)
+    def test_grid_reads_back_equal(self, tmp_path, grid):
+        target = tmp_path / "grid.json"
+        target.write_text(json.dumps(asdict(grid)))
+        assert read_grid_json(str(target)) == grid
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,21 @@ class TestPanelDataset:
         assert panel.unit_ids == (0, 1, 2, 3)
         assert panel.period_ids == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize(
+        "kind, labels, repeated",
+        [("unit", ("a", "a", "b"), "a"), ("period", ("a", "a", "b"), "a"), ("unit", (1, "1"), "1")],
+    )
+    def test_labels_whose_text_repeats_rejected(self, kind, labels, repeated):
+        # 1 and "1" are one label in a CSV file, so they are one label here
+        shape = {"n": len(labels)} if kind == "unit" else {"t": len(labels)}
+        with pytest.raises(ValidationError, match=f"^{kind} label {repeated!r} repeats$"):
+            PanelDataset(**small_panel_arrays(**shape), **{f"{kind}_ids": labels})
+
+    def test_labels_whose_text_differs_kept(self):
+        panel = PanelDataset(**small_panel_arrays(n=2, t=3), unit_ids=(1, "2"),
+                             period_ids=("a", "b", "A"))
+        assert panel.unit_ids == (1, "2") and panel.period_ids == ("a", "b", "A")
+
 
 class TestScenario:
     def test_fraction_gap_rejected(self):
