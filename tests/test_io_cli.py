@@ -1143,7 +1143,7 @@ class TestConfigJson:
 
     @pytest.mark.parametrize("value", [7, 7.0, "7"])
     def test_seed_follows_the_integer_rule(self, tmp_path, value):
-        # 7.0 and "7" used to be refused here while n_units took them
+        # the rule of every JSON integer field: n_units reads these as 7 too
         scenario = _read_config(tmp_path, "scenario", {"seed": value})
         assert scenario.seed == 7 and type(scenario.seed) is int
 
@@ -1161,7 +1161,7 @@ class TestConfigJson:
     )
     def test_base_params_tuples_are_lists_of_numbers(self, tmp_path, what, name, value,
                                                      message):
-        # both values used to be read as (0.3,) and (1.0,)
+        # a bare number is no list, and a bool is no number
         with pytest.raises(DataError, match=re.escape(message.format(f"base_params.{name}"))):
             _read_config(tmp_path, what, {"base_params": {name: value}})
 
