@@ -19,10 +19,10 @@ of units at a time, so neither direction holds the whole text in memory.
 The writer prints each float as repr() does, without calling repr() per
 value: _format_floats finds the shortest digits that read back with exact
 integer arithmetic on whole arrays, in the manner of Ryu (Adams 2018, PLDI),
-and lays them out in fixed byte slots under a mask. Each block of rows is
-one byte matrix (labels, slots, commas, newlines) and one mask; the bytes
-the mask keeps are the block's bytes, written below the text layer. Values
-outside the kernel's domain go to repr() one by one.
+and lays them out in byte slots padded with 0xFF, which neither UTF-8 nor
+repr() ever produces. Each block of rows is one such byte matrix (labels,
+slots, commas, newlines); its other bytes, written below the text layer, are
+the block's text. Values outside the kernel's domain go to repr() one by one.
 
 A long CSV of _SPLIT_MIN_BLOCKS blocks or more is written or read in two
 halves when power.fork_width() allows a second process: one child, forked
@@ -139,11 +139,17 @@ def _csv_fields(labels) -> list[str]:
 
 def _check_labels(unit_ids, period_ids) -> None:
     """Reject labels that would not read back: the reader takes one line as
-    one row, a line whose first field starts with '#' as a comment, and two
-    labels of one text as one label."""
+    one row, a line whose first field starts with '#' as a comment, two
+    labels of one text as one label, and only UTF-8 text."""
     for kind, labels in (("unit", unit_ids), ("period", period_ids)):
         seen = set()
         for label in map(str, labels):
+            try:
+                label.encode()
+            except UnicodeEncodeError:
+                raise ValidationError(
+                    f"{kind} label {label!r} holds a lone surrogate, which UTF-8 cannot encode"
+                ) from None
             if "\n" in label or "\r" in label:
                 raise ValidationError(
                     f"{kind} label {label!r} contains a line break; "
@@ -161,27 +167,29 @@ def _check_labels(unit_ids, period_ids) -> None:
             )
 
 
-def _label_bytes(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The fields as rows of UTF-8 bytes padded to one width, and the mask
-    of the bytes that belong to each."""
-    encoded = [field.encode("utf-8", "surrogatepass") for field in fields]
+#: The byte that pads the writer's row matrices. Neither UTF-8 nor repr()
+#: ever produces it, so the bytes that are not _FILL are the text.
+_FILL = 0xFF
+
+
+def _label_bytes(fields: list[str]) -> np.ndarray:
+    """The fields as rows of UTF-8 bytes, padded with _FILL to one width."""
+    encoded = [field.encode() for field in fields]
     width = max([1, *map(len, encoded)])
-    chars = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
-    keep = np.arange(width) < np.array([len(field) for field in encoded], np.intp)[:, None]
-    return chars, keep
+    padded = b"".join(field.ljust(width, bytes([_FILL])) for field in encoded)
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
 
 # _format_floats writes each value into a slot of six little-endian 64-bit
 # words, where d0..d16 are its 17 significant digits:
 #   [spare, "-0.000", d0] [d1..d8] [d9..d16] [".", 6 spare, d0] [d1..d8] [d9..d16]
-# A mask picks repr(value) out of the slot: the sign, then "0." and up to three
-# zeros when the decimal point comes first, the digits before the point from
-# the first copy, the point, and the digits after it from the second copy.
+# A table row holds _FILL in every byte of the slot that repr(value) does not
+# show. It shows the sign, then "0." and up to three zeros when the
+# decimal point comes first, the digits before the point from the first copy,
+# the point, and the digits after it from the second copy.
 _SLOT = 48
 _U64 = np.uint64
 _FRACTION = _U64((1 << 52) - 1)
-_PREFIX = _U64(int.from_bytes(b"\0-0.000\0", "little"))
-_POINT = _U64(ord("."))
 _ONES = _U64(0x0101010101010101)
 _ZEROS = _ONES * _U64(ord("0"))
 #: 5**k for k = 0..22, exact: the formatter takes k <= 18, the parser k <= 22.
@@ -190,18 +198,20 @@ _POW5 = np.array([5**k for k in range(23)], _U64)
 
 @functools.cache
 def _format_tables() -> np.ndarray:
-    """The slot mask of every (sign, decimal point position -3..15, digits
-    shown 0..17); built on first use."""
+    """The slot of every (sign, decimal point position -3..15, digits shown
+    0..17) as six words: the characters of "-0.000" and "." it shows, 0 in
+    each digit it shows, and _FILL in the rest; built on first use."""
     negative, point, shown = np.ogrid[0:2, -3:16, 0:18]
     digit = np.arange(17)
-    keep = np.zeros((2, 19, 18, _SLOT), bool)
-    keep[..., 1] = negative == 1
-    keep[..., 2:4] = (point <= 0)[..., None]
-    keep[..., 4:7] = np.arange(3) < -point[..., None]
-    keep[..., 7:24] = digit < point[..., None]
-    keep[..., 24] = point >= 1
-    keep[..., 31:48] = (digit >= np.maximum(point, 0)[..., None]) & (digit < shown[..., None])
-    return keep.reshape(-1, _SLOT)
+    shows = np.zeros((2, 19, 18, _SLOT), bool)
+    shows[..., 1] = negative == 1
+    shows[..., 2:4] = (point <= 0)[..., None]
+    shows[..., 4:7] = np.arange(3) < -point[..., None]
+    shows[..., 7:24] = digit < point[..., None]
+    shows[..., 24] = point >= 1
+    shows[..., 31:48] = (digit >= np.maximum(point, 0)[..., None]) & (digit < shown[..., None])
+    chars = np.frombuffer(b"\0-0.000".ljust(24, b"\0") + b".".ljust(24, b"\0"), np.uint8)
+    return np.where(shows, chars, _FILL).view("<u8").reshape(-1, _SLOT // 8)
 
 
 def _shortest_digits(a: np.ndarray):
@@ -269,10 +279,10 @@ def _digit_lanes(v: np.ndarray) -> np.ndarray:
     return high | ((v - high * _U64(10)) << _U64(8))
 
 
-def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """repr() of each float, as (n, _SLOT) uint8 slots and a mask over them:
-    chars[i][keep[i]] is repr(values[i]) byte for byte, and byte 0 of each
-    slot is spare (never kept).
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """repr() of each float, as (n, _SLOT) uint8 slots padded with _FILL:
+    slots[i][slots[i] != _FILL] is repr(values[i]) byte for byte, and byte 0
+    of each slot is always _FILL.
 
     Finite values with 1e-4 <= |x| < 1e15 and a mantissa that is not a power
     of two go through _shortest_digits, all at once; repr() formats the rest
@@ -280,7 +290,6 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     outside that range, and the kernel's ties and misses.
     """
     x = np.asarray(values, dtype=float).ravel()
-    keep_table = _format_tables()
     a = np.abs(x)
     direct = (a >= 1e-4) & (a < 1e15) & (x.view(_U64) & _FRACTION != 0)
     # the others get a stand-in from the domain, so the arithmetic stays in range
@@ -290,12 +299,6 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tail = digits - lead * _U64(10**16)
     high = tail // _U64(10**8)
     lanes = _digit_lanes(high), _digit_lanes(tail - high * _U64(10**8))
-    words = np.empty((len(x), 6), "<u8")
-    words[:, 1] = words[:, 4] = lanes[0] + _ZEROS
-    words[:, 2] = words[:, 5] = lanes[1] + _ZEROS
-    lead = (lead + _U64(ord("0"))) << _U64(56)
-    words[:, 0] = lead | _PREFIX
-    words[:, 3] = lead | _POINT
     # digits up to the last nonzero one: a 1 marks each nonzero lane, the
     # marks are copied into every lower lane, and a product sums the lanes
     marks = []
@@ -310,15 +313,16 @@ def _format_floats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # at least one digit after the point
     shown = np.maximum(shown, point + 1, where=point >= 1, out=shown)
     # the table's row for (sign, point + 3, shown) in its (2, 19, 18) layout
-    keep = keep_table.take(((x < 0) * 19 + point + 3) * 18 + shown, axis=0)
-    chars = words.view(np.uint8)
+    words = _format_tables().take(((x < 0) * 19 + point + 3) * 18 + shown, axis=0)
+    digit_words = (lead + _U64(ord("0"))) << _U64(56), lanes[0] + _ZEROS, lanes[1] + _ZEROS
+    for column, digit_word in enumerate(digit_words):  # into both copies of the digits
+        words[:, column::3] |= digit_word[:, None]
+    slots = words.view(np.uint8)
     by_repr = np.flatnonzero(~direct)
-    if len(by_repr):
-        texts, kept = _label_bytes(list(map(repr, x[by_repr].tolist())))
-        chars[by_repr, 1 : 1 + texts.shape[1]] = texts  # repr() is at most 24 bytes
-        keep[by_repr] = False
-        keep[by_repr, 1 : 1 + texts.shape[1]] = kept
-    return chars, keep
+    texts = _label_bytes(list(map(repr, x[by_repr].tolist())))
+    slots[by_repr] = _FILL
+    slots[by_repr, 1 : 1 + texts.shape[1]] = texts  # repr() is at most 24 bytes
+    return slots
 
 
 def _write_long_csv(
@@ -328,7 +332,7 @@ def _write_long_csv(
     whose values are written as repr(float), one block of units at a time.
 
     A block's rows are laid out as one byte matrix (labels, value slots,
-    commas, newlines) with one mask over it; the kept bytes are its text.
+    commas, newlines) padded with _FILL; the other bytes are its text.
     When _split_pays, a forked child writes the second half of the blocks to
     a temporary file, which is copied in after the first half.
     """
@@ -342,31 +346,27 @@ def _write_long_csv(
     _check_labels(unit_ids, period_ids)
     units = _label_bytes([field + "," for field in _csv_fields(unit_ids)])
     periods = _label_bytes(_csv_fields(period_ids))
-    unit_width = units[0].shape[1]
-    label_width = unit_width + periods[0].shape[1]
-    width = label_width + len(values) * _SLOT + 1  # each slot's spare byte 0 takes a comma
+    unit_width = units.shape[1]
+    label_width = unit_width + periods.shape[1]
+    value_width = len(values) * _SLOT
+    width = label_width + value_width + 1  # each slot's spare byte 0 takes a comma
     block_units = max(1, _WRITE_BLOCK_BYTES // max(t * width, 1))
     starts = range(0, n, block_units)
 
     def write_blocks(sink, block_starts):
-        # one row matrix and mask serve every block; a short last block uses
-        # their leading rows
+        # one row matrix serves every block; a short last block uses its
+        # leading rows
         row_buffer = np.empty((min(block_units, n), t, width), np.uint8)
-        keep_buffer = np.empty(row_buffer.shape, bool)
         for start in block_starts:
             stop = min(start + block_units, n)
             block = np.stack([column[start:stop] for column in values], axis=-1)
-            rows, keep = row_buffer[: stop - start], keep_buffer[: stop - start]
-            for out, unit, period, slots in zip(
-                (rows, keep), units, periods, _format_floats(block)
-            ):
-                out[..., :unit_width] = unit[start:stop, None]
-                out[..., unit_width:label_width] = period
-                out[..., label_width:-1] = slots.reshape(*rows.shape[:2], width - label_width - 1)
+            rows = row_buffer[: stop - start]
+            rows[..., :unit_width] = units[start:stop, None]
+            rows[..., unit_width:label_width] = periods
+            rows[..., label_width:-1] = _format_floats(block).reshape(*rows.shape[:2], value_width)
             rows[..., label_width:-1:_SLOT] = ord(",")
             rows[..., -1] = ord("\n")
-            keep[..., label_width::_SLOT] = True
-            sink.write(rows[keep])
+            sink.write(rows[rows != _FILL])
         sink.flush()  # a forked child leaves through os._exit, which flushes nothing
 
     with _atomic_open(path) as handle:

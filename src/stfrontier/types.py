@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ def _as_float_tuple(values, name: str) -> tuple[float, ...]:
         raise ValidationError(f"{name} must be a sequence of reals: {err}") from err
     if not out:
         raise ValidationError(f"{name} must be non-empty")
-    if not all(np.isfinite(out)):
+    if not all(map(math.isfinite, out)):
         raise ValidationError(f"{name} must be finite, got {out}")
     return out
 
@@ -61,13 +62,12 @@ class ModelParams:
     sigma_eps: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _as_float_tuple(self.beta, "beta"))
-        object.__setattr__(self, "gamma", _as_float_tuple(self.gamma, "gamma"))
-        object.__setattr__(self, "phi", _as_float_tuple(self.phi, "phi"))
+        for name in ("beta", "gamma", "phi"):
+            object.__setattr__(self, name, _as_float_tuple(getattr(self, name), name))
         for name in ("beta0", "rho", "sigma_psi", "sigma_eps"):
             val = float(getattr(self, name))
             object.__setattr__(self, name, val)
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise ValidationError(f"{name} must be finite, got {val}")
         if abs(self.rho) >= 1:
             raise ValidationError(f"rho must lie in (-1, 1) for stationarity, got {self.rho}")

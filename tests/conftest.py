@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,3 +17,16 @@ def innovations_are_log_output(monkeypatch):
         "fit_frontier_gls",
         lambda panel: SimpleNamespace(innovations=np.asarray(panel.log_output)),
     )
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Import the module hypothesis prints a failing example with before its
+    own report hook does: that import pulls in libcst, whose import warns,
+    and the "error" warning filter would turn a failing property test into
+    an internal error that ends the whole run."""
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
+    yield

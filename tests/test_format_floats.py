@@ -9,11 +9,10 @@ from stfrontier.io import _format_floats
 
 def formatted(values) -> list[str]:
     """Each value as the kernel formats it, split at the commas the slots' spare
-    bytes take (repr() never writes a comma)."""
-    chars, keep = _format_floats(values)
-    chars[:, 0] = ord(",")
-    keep[:, 0] = True
-    return chars[keep].tobytes().decode().split(",")[1:]
+    bytes take (repr() never writes a comma), with the filler bytes dropped."""
+    slots = _format_floats(values)
+    slots[:, 0] = ord(",")
+    return slots[slots != stio._FILL].tobytes().decode().split(",")[1:]
 
 
 def assert_matches_repr(values):
@@ -134,7 +133,7 @@ def test_domain_values_stay_in_the_kernel(monkeypatch):
 @pytest.mark.parametrize("shape", [(0,), (1,), (3, 4), (2, 3, 5)])
 def test_any_shape_gives_one_slot_per_value(shape):
     values = np.random.default_rng(5).normal(size=shape)
-    chars, keep = _format_floats(values)
-    assert chars.shape == keep.shape == (values.size, stio._SLOT)
-    assert not keep[:, 0].any()
+    slots = _format_floats(values)
+    assert slots.shape == (values.size, stio._SLOT) and slots.dtype == np.uint8
+    assert (slots[:, 0] == stio._FILL).all()
     assert_matches_repr(values.ravel())

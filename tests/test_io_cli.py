@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import stfrontier.io as stio
 from stfrontier import (
@@ -782,6 +783,25 @@ class TestWriter:
             write_te_csv(np.full((3, 3), 0.5), *ids.values(), str(target))
         assert not target.exists()
 
+    @pytest.mark.parametrize("writer", ["te", "panel"])
+    @pytest.mark.parametrize("kind, ids, bad", [
+        ("unit", {"unit_ids": ("a", "b\udcff", "c")}, "b\udcff"),
+        ("period", {"period_ids": ("1", "\ud800", "3")}, "\ud800"),
+    ])
+    def test_labels_that_are_not_utf8_are_rejected(self, tmp_path, writer, kind, ids, bad):
+        # a lone surrogate has no UTF-8 bytes: the writer once wrote b"b\udcff"
+        # as ED B3 BF, which the reader refuses as not UTF-8 text
+        panel = simulated_panel(n=3, t=3)
+        labels = {"unit_ids": panel.unit_ids, "period_ids": panel.period_ids, **ids}
+        target = tmp_path / f"{writer}.csv"
+        with pytest.raises(ValidationError, match=re.escape(f"{kind} label {bad!r}")):
+            if writer == "te":
+                write_te_csv(np.full((3, 3), 0.8), *labels.values(), str(target))
+            else:
+                arrays = (panel.log_output, panel.log_inputs, panel.spatial, panel.covariates)
+                write_panel_csv(PanelDataset(*arrays, **labels), str(target))
+        assert list(tmp_path.iterdir()) == []
+
     def test_new_files_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o027)
         try:
@@ -1066,6 +1086,89 @@ class TestSplit:
         assert done.returncode == 0, done.stderr
         assert done.stdout.count("simulate: wrote 30000 rows") == 1
         assert len(done.stdout.splitlines()) == 1 and done.stderr == ""
+
+
+# Labels of ASCII, 2-, 3- and 4-byte UTF-8, the characters csv.writer quotes
+# and blanks, "" among them; a unit label may not start with '#'.
+LABELS = st.text(alphabet='aZ7é€𝄞,"# \t', max_size=4)
+UNIT_LABELS = LABELS.filter(lambda label: not label.lstrip().startswith("#"))
+# values at the formatter's edges: zeros, subnormals, powers of two and the
+# bounds of its exact domain, 1e-4 <= |x| < 1e15
+EDGE_VALUES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-5, -1e-4, 9.999e-5,
+               1e15, -1e16, 1e16, 1.7976931348623157e308, 0.1, 1 / 3,
+               *(2.0**k for k in (-1074, -1022, -60, -1, 0, 1, 52, 53, 60, 1023))]
+FINITE_VALUES = st.one_of(st.sampled_from(EDGE_VALUES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+TE_VALUES = st.one_of(FINITE_VALUES, st.sampled_from([math.nan, math.inf, -math.inf]))
+# derandomized, so every run draws the same examples; the files are rewritten
+WRITER_ORACLE = settings(derandomize=True, max_examples=50, deadline=None, database=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def distinct_labels(draw, strategy, count):
+    return draw(st.lists(strategy, min_size=count, max_size=count, unique=True))
+
+
+@st.composite
+def te_matrices(draw):
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    te = draw(hnp.arrays(float, (n, t), elements=TE_VALUES))
+    return te, distinct_labels(draw, UNIT_LABELS, n), distinct_labels(draw, LABELS, t)
+
+
+@st.composite
+def panels(draw):
+    n, t = draw(st.integers(2, 4)), draw(st.integers(3, 5))
+    # exp() of these is finite, from 5e-324 up
+    logs = st.floats(-745, 709)
+    p, q, r = (draw(st.integers(1, 2)) for _ in range(3))
+    return PanelDataset(
+        draw(hnp.arrays(float, (n, t), elements=logs)),
+        draw(hnp.arrays(float, (n, t, p), elements=logs)),
+        draw(hnp.arrays(float, (n, t, q), elements=FINITE_VALUES)),
+        draw(hnp.arrays(float, (n, t, r), elements=FINITE_VALUES)),
+        unit_ids=tuple(distinct_labels(draw, UNIT_LABELS, n)),
+        period_ids=tuple(distinct_labels(draw, LABELS, t)),
+    )
+
+
+class TestWriterMatchesRowOracle:
+    """The writer's bytes against csv.writer and repr(), row by row, in one
+    process and split with a child."""
+
+    META = {"command": "t", "seed": 1}
+    META_LINES = ["# version: " + stio.__version__, "# command: t", "# seed: 1"]
+
+    def assert_written(self, cpus, write, path, expected, n_units):
+        for count in (1, 2):
+            forks = cpus(count)
+            write()
+            written = path.read_bytes()
+            assert written == expected.encode()
+            assert b"\xff" not in written
+            assert len(forks) == (count == 2 and n_units > 1)
+        assert_no_child()
+
+    @WRITER_ORACLE
+    @given(case=te_matrices())
+    def test_te_csv(self, tmp_path, cpus, case):
+        te, units, periods = case
+        path = tmp_path / "te.csv"
+        expected = oracle_long_csv(self.META_LINES, units, periods, {"te": te})
+        self.assert_written(cpus, lambda: write_te_csv(te, units, periods, str(path), self.META),
+                            path, expected, len(units))
+
+    @WRITER_ORACLE
+    @given(panel=panels())
+    def test_panel_csv(self, tmp_path, cpus, panel):
+        columns = {"y": np.exp(panel.log_output)}
+        for prefix, block in (("x", np.exp(panel.log_inputs)), ("w", panel.spatial),
+                              ("z", panel.covariates)):
+            columns.update({f"{prefix}{j + 1}": block[..., j] for j in range(block.shape[2])})
+        path = tmp_path / "panel.csv"
+        expected = oracle_long_csv(self.META_LINES, panel.unit_ids, panel.period_ids, columns)
+        self.assert_written(cpus, lambda: write_panel_csv(panel, str(path), self.META),
+                            path, expected, panel.n_units)
 
 
 class TestScenarioJson:
