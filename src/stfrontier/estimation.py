@@ -7,11 +7,12 @@ Three steps, run once (no outer loop):
    Prais-Winsten treatment of each unit's first observation). The model is
    additive in its AR(1) noise, so the quasi-differenced normal equations
    are a quadratic in rho over cross-product moments formed once, and each
-   iteration solves a (P+1, P+1) system. Residual inefficiency estimates
-   are u_hat_it = e_it - rho_hat * e_it-1 with the pre-sample innovation
-   e_i0 = 0.
-2. fit_efficiency_glm: u* = -u_hat, clamped into [delta, 1-delta], is mapped
-   through the logit and regressed on (w, z) without intercept.
+   iteration solves a (P+1, P+1) system. The fit keeps its innovations
+   e_it = ln y_it - beta0_hat - ln x_it beta_hat.
+2. fit_efficiency_glm: the residual inefficiency estimates are
+   u_hat_it = e_it - rho_hat * e_it-1 with the pre-sample innovation
+   e_i0 = 0; u* = -u_hat, clamped into [delta, 1-delta], is mapped through
+   the logit and regressed on (w, z) without intercept.
 3. estimate_model: technical efficiency is scored as
    exp(-logistic(w gamma_hat + z phi_hat)).
 
@@ -100,20 +101,14 @@ def least_squares(
 
 @dataclass(frozen=True)
 class FrontierFit:
-    """Step-1 output: frontier coefficients, AR coefficient, residual matrices."""
+    """Step-1 output: frontier coefficients, AR coefficient and innovations."""
 
     beta0_hat: float
     beta_hat: tuple[float, ...]
     rho_hat: float
-    residuals_u: np.ndarray  # (N, T) u_hat_it = e_it - rho_hat * e_it-1
-    lagged_innovations: np.ndarray  # (N, T) e_it-1 with e_i0 = 0
+    innovations: np.ndarray  # (N, T) e_it = ln y_it - beta0_hat - ln x_it beta_hat
     iterations: int
     converged: bool
-
-    @property
-    def innovations(self) -> np.ndarray:
-        """The frontier residual series e_it (estimated noise component)."""
-        return self.residuals_u + self.rho_hat * self.lagged_innovations
 
 
 @dataclass(frozen=True)
@@ -236,16 +231,11 @@ def fit_frontier_gls(panel: PanelDataset, *, rho_fixed: float | None = None) -> 
             converged = True
             break
 
-    innovations = panel.log_output - data[..., :k] @ coef
-    lagged_innovations = np.zeros_like(innovations)
-    lagged_innovations[:, 1:] = innovations[:, :-1]
-    residuals_u = innovations - rho * lagged_innovations
     return FrontierFit(
         beta0_hat=float(coef[0]),
         beta_hat=tuple(float(c) for c in coef[1:]),
         rho_hat=rho,
-        residuals_u=residuals_u,
-        lagged_innovations=lagged_innovations,
+        innovations=panel.log_output - data[..., :k] @ coef,
         iterations=iterations,
         converged=converged,
     )
@@ -254,14 +244,17 @@ def fit_frontier_gls(panel: PanelDataset, *, rho_fixed: float | None = None) -> 
 def fit_efficiency_glm(
     frontier: FrontierFit, panel: PanelDataset
 ) -> tuple[tuple[float, ...], tuple[float, ...], int]:
-    """Estimate (gamma, phi) from the negated step-1 residuals.
+    """Estimate (gamma, phi) from the negated residual inefficiencies.
 
-    u* = -u_hat estimates the inefficiency up to noise; values are clamped
-    into [CLAMP_DELTA, 1-CLAMP_DELTA] before the logit, which is regressed on
-    (w, z) without intercept. Returns (gamma_hat, phi_hat, clamp_count), where
-    clamp_count is the number of cells moved onto a bound.
+    The step-1 innovations give u_hat_it = e_it - rho_hat * e_it-1, with
+    e_i0 = 0. u* = -u_hat estimates the inefficiency up to noise; values are
+    clamped into [CLAMP_DELTA, 1-CLAMP_DELTA] before the logit, which is
+    regressed on (w, z) without intercept. Returns (gamma_hat, phi_hat,
+    clamp_count), where clamp_count is the number of cells moved onto a bound.
     """
-    u_star = -frontier.residuals_u.ravel()
+    u_hat = frontier.innovations.copy()
+    u_hat[:, 1:] -= frontier.rho_hat * frontier.innovations[:, :-1]
+    u_star = -u_hat.ravel()
     lo, hi = CLAMP_DELTA, 1.0 - CLAMP_DELTA
     clamp_count = int(np.count_nonzero(u_star < lo) + np.count_nonzero(u_star > hi))
     response = logit(np.clip(u_star, lo, hi))

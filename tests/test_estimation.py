@@ -226,17 +226,16 @@ class TestFrontierGLS:
             assert np.abs(np.array([fit.beta0_hat, *fit.beta_hat]) - coef).max() <= 1e-12
             assert abs(fit.rho_hat - rho) <= 1e-12
 
-    def test_residual_identities(self):
-        panel, *_ = default_panel()
+    @pytest.mark.parametrize("n, t", [(50, 12), (200, 60)])
+    def test_innovations_are_the_fitted_residuals(self, n, t):
+        # the innovations keep the bits of ln y - [1, ln x] (beta0_hat, beta_hat)
+        panel = default_panel(n=n, t=t)[0]
         fit = fit_frontier_gls(panel)
-        # innovations reconstruct u_hat and the lag matrix starts at zero
-        np.testing.assert_allclose(
-            fit.residuals_u, fit.innovations - fit.rho_hat * fit.lagged_innovations
+        data = np.concatenate(
+            [np.ones((n, t, 1)), panel.log_inputs, panel.log_output[..., None]], axis=2
         )
-        assert np.all(fit.lagged_innovations[:, 0] == 0.0)
-        np.testing.assert_allclose(
-            fit.lagged_innovations[:, 1:], fit.innovations[:, :-1]
-        )
+        coef = np.array([fit.beta0_hat, *fit.beta_hat])
+        np.testing.assert_array_equal(fit.innovations, panel.log_output - data[..., :-1] @ coef)
 
 
 class TestEfficiencyGLM:
@@ -255,8 +254,7 @@ class TestEfficiencyGLM:
             beta0_hat=0.0,
             beta_hat=(0.0,),
             rho_hat=0.0,
-            residuals_u=-u,
-            lagged_innovations=np.zeros((n, t)),
+            innovations=-u,
             iterations=1,
             converged=True,
         )
@@ -275,8 +273,7 @@ class TestEfficiencyGLM:
             beta0_hat=0.0,
             beta_hat=(0.0,),
             rho_hat=0.0,
-            residuals_u=np.full_like(frontier.residuals_u, -0.5),
-            lagged_innovations=np.zeros_like(frontier.residuals_u),
+            innovations=np.full_like(frontier.innovations, -0.5),
             iterations=1,
             converged=True,
         )
@@ -285,15 +282,14 @@ class TestEfficiencyGLM:
 
     def test_clamp_counting(self):
         panel, frontier = self.synthetic()
-        res = frontier.residuals_u.copy()
+        res = frontier.innovations.copy()
         res[0, 0] = 0.3  # u* = -0.3, below the clamp
         res[0, 1] = -1.5  # u* = 1.5, above the clamp
         bumped = FrontierFit(
             beta0_hat=0.0,
             beta_hat=(0.0,),
             rho_hat=0.0,
-            residuals_u=res,
-            lagged_innovations=np.zeros_like(res),
+            innovations=res,
             iterations=1,
             converged=True,
         )
@@ -302,12 +298,13 @@ class TestEfficiencyGLM:
 
     def test_response_is_frontier_logit_of_clipped_residuals(self, monkeypatch):
         # the response must keep the bits of frontier.logit(clip(u*)) over the
-        # whole panel, clamped cells included
+        # whole panel, clamped cells included, with u* = -(e_t - rho_hat e_t-1)
+        # and e_0 = 0 before the first period
         panel = default_panel(n=200, t=30)[0]
         frontier = fit_frontier_gls(panel)
-        res = frontier.residuals_u.copy()
-        res[::7, 0] = -1.5  # u* = 1.5, above the clamp
-        frontier = replace(frontier, residuals_u=res)
+        e = frontier.innovations.copy()
+        e[::7, 0] = -1.5  # u* = 1.5, above the clamp
+        frontier = replace(frontier, innovations=e)
         responses = []
         solve = estimation.least_squares
         monkeypatch.setattr(
@@ -318,7 +315,9 @@ class TestEfficiencyGLM:
         )
         _, _, clamp_count = fit_efficiency_glm(frontier, panel)
         lo, hi = estimation.CLAMP_DELTA, 1.0 - estimation.CLAMP_DELTA
-        u_star = -frontier.residuals_u
+        lagged = np.zeros_like(e)
+        lagged[:, 1:] = e[:, :-1]
+        u_star = -(e - frontier.rho_hat * lagged)
         assert 0 < np.count_nonzero(u_star < lo) and 0 < np.count_nonzero(u_star > hi)
         assert clamp_count == np.count_nonzero((u_star < lo) | (u_star > hi))
         np.testing.assert_array_equal(

@@ -46,6 +46,7 @@ from stfrontier.io import (
 )
 from stfrontier.types import as_count
 
+from dispatch_path import dispatch_path
 from reports import assert_reports_close
 
 
@@ -483,13 +484,15 @@ class TestReaderMatchesRowLoop:
         assert result[1].shape == (7, 6, 3)
 
     def test_large_panel(self, tmp_path, read_blocks):
-        # enough values for np.log and math.log to differ in the last bit, so
-        # a reader that took ln y with math.log would not match the oracle
+        # on the AVX-512 path, enough values for np.log and math.log to differ
+        # in the last bit, so a reader that took ln y with math.log would not
+        # match the oracle; on the portable path the two logs agree
         panel = simulate_panel(Scenario(n_units=300, n_periods=20, seed=3))[0]
         target = tmp_path / "panel.csv"
         write_panel_csv(panel, str(target))
         y = np.exp(panel.log_output)
-        assert (np.log(y) != np.array([math.log(v) for v in y.ravel()]).reshape(y.shape)).any()
+        differs = np.log(y) != np.array([math.log(v) for v in y.ravel()]).reshape(y.shape)
+        assert differs.any() == (dispatch_path() == "avx512")
         assert_same_outcome(target)
 
     @pytest.mark.parametrize("field", ["1e5", "nan", "+1", "1_000", "12345678901234567890", ""])
@@ -724,19 +727,27 @@ class TestWriter:
                                    units, periods, {"te": te})
         assert target.read_text() == expected
 
+    # the seed was fixed before these digests were recorded from the writer
+    # that called repr() once per value; both were recorded again when expit
+    # came to use numpy's exp (ledger D22), and for the portable path at D26
+    PINNED_PANEL_AND_TE = {
+        "avx512": (
+            "2eece611e758f36c304be24d0170b8cc3668691f7356053d6752cfe3999e6a5f",
+            "f980391f6e5d5c8d7267c2a798709f5e977ea613a8700624b802dc1eca5225c7",
+        ),
+        "portable": (
+            "e90597e5c42df20223c6a0f21671230674b549e5e99f5650ba8b5f2b2c1ca5e9",
+            "a92afd5cf9c3c36371278d43fbc5864fcf1c546983d4b17fdac19118f267474f",
+        ),
+    }
+
     def test_pinned_panel_and_te_bytes(self, tmp_path):
-        # the seed was fixed before these digests were recorded from the
-        # writer that called repr() once per value; both were recorded again
-        # when expit came to use numpy's exp (ledger D22)
         panel, _, u, _ = simulate_panel(Scenario(n_units=300, n_periods=60, seed=3031))
         meta = {"command": "pinned", "seed": 3031}
         write_panel_csv(panel, str(tmp_path / "panel.csv"), meta)
         write_te_csv(np.exp(-u), panel.unit_ids, panel.period_ids, str(tmp_path / "te.csv"), meta)
-        assert sha(tmp_path / "panel.csv") == (
-            "2eece611e758f36c304be24d0170b8cc3668691f7356053d6752cfe3999e6a5f"
-        )
-        assert sha(tmp_path / "te.csv") == (
-            "f980391f6e5d5c8d7267c2a798709f5e977ea613a8700624b802dc1eca5225c7"
+        assert (sha(tmp_path / "panel.csv"), sha(tmp_path / "te.csv")) == (
+            self.PINNED_PANEL_AND_TE[dispatch_path()]
         )
 
     def test_memory_peak_below_the_readers(self, tmp_path):
@@ -1812,13 +1823,15 @@ class TestCli:
         assert code == 1
 
 
-# sha256 of each artifact of test_output_bytes_are_pinned, recorded when the
-# power grid still ran on a process pool. The estimate and test outputs were
-# recorded again when the frontier came to be solved from moments and ln y
-# from np.log (ledger D17); s2.json reads te.csv, so it moved with it.
-# te.csv was recorded again when expit and logit came to use numpy's exp and
-# log (ledger D22); the other nine kept their bits.
-PINNED_SHA256 = {
+# sha256 of each artifact of test_output_bytes_are_pinned on each dispatch
+# path, recorded when the power grid still ran on a process pool. The
+# estimate and test outputs were recorded again when the frontier came to be
+# solved from moments and ln y from np.log (ledger D17); s2.json reads
+# te.csv, so it moved with it. te.csv was recorded again when expit and logit
+# came to use numpy's exp and log (ledger D22), and t1.json when the temporal
+# test came to read the fit's innovations as fitted (ledger D26). The portable
+# path moves every artifact built on the simulated panel but the power CSVs.
+PINNED_SHA256 = {"avx512": {
     "e.json": "bf1da5dbf547554aed2c0488d7a1940c60443871ea4660e87869fab532fe8782",
     "grid1.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
     "grid2.csv": "4b8c8d2dd42dab666f9f1bdd4ccb565464c6681d920b47f43eb3de392a5ccdae",
@@ -1827,8 +1840,18 @@ PINNED_SHA256 = {
     "s1.json": "df762dc291fd9bbc4f14ecf71605efafcafb51f43ae996aac9774a3fb83342ea",
     "s2.json": "d607a80a001b9bf82578926ad6fe44668a3254d407737aae238e0b0cf2bc8958",
     "split.csv": "ad35f9188575b4915bc2e1695a702f768accc8d4f64123b88f89a6e988b985ec",
-    "t1.json": "ecd0a87fe31ef8fc0d6f9cb30c43a3568cd75219e715328367f5bd9e6b7c0988",
+    "t1.json": "cc4407082b76d464e6dd88cebf9af9210aafa16448913c202f38ca74517983dc",
     "te.csv": "1fec02dd654926ad12ab7c91a80e6b460e0aebc83718084bc763e7986a0a1d30",
+}}
+PINNED_SHA256["portable"] = {
+    **PINNED_SHA256["avx512"],
+    "e.json": "01d26da76fd2a2fd5f00b25cba82d4a543cb961c1de8c0d7683b1963576e73af",
+    "p.csv": "0fe3bc2c33a0f4249c159824e5a6024ab3208eba415072002bf84daf94224c42",
+    "s1.json": "60da9547cbf486f86c7d9b65ef5d851979c71d470b8c5b691b9460c372efc600",
+    "s2.json": "204ca71b4ddc4f6fe7f309fedc9e11dd0f1c4674bf1e14f6eb9522f6988bc36c",
+    "split.csv": "fc75ac6af0a71f070076cf8c16370f76ddd5e2a82f7241aa38016cb723e8d682",
+    "t1.json": "6bba75d335df696847b593fa84faedd3d8d7e45cf969aba033bb4303294ac192",
+    "te.csv": "ddf81aeb4b8f5b6e275afe430f9b3bae264af5dd574aea825d01636c072f6720",
 }
 
 # e.json of test_output_bytes_are_pinned as the quasi-difference GLS and
@@ -1978,31 +2001,37 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
         stio.write_power_csv(table, f"grid{n_workers}.csv")
     inputs = {"s.json", "g.json"}
     written = {path.name: sha(path) for path in sorted(tmp_path.iterdir()) if path.name not in inputs}
-    assert written == PINNED_SHA256
+    assert written == PINNED_SHA256[dispatch_path()]
 
 
 # Reports and a temporal-only power grid as the tree wrote them before the
 # temporal test was fixed at AR(1) (ledger D21): the kernel's bits held. The
 # second and third reports were recorded again when expit came to use numpy's
-# exp (ledger D22), which moves the simulated panels at rounding level.
+# exp (ledger D22), which moves the simulated panels at rounding level, and
+# all three when the temporal test came to read the fit's innovations as
+# fitted (ledger D26); each report has one digest per dispatch path.
 @pytest.mark.parametrize(
-    "scenario, flags, code, digest",
+    "scenario, flags, code, digests",
     [
         ({"n_units": 12, "n_periods": 10, "seed": 4}, "--alpha 0.1 --boot-k 200 --seed 3", 0,
-         "6806c52c141ec15994b02dbae8bcc844922412c95873db75b87b3f9fb65f2c87"),
+         {"avx512": "54b21e42b2c098193cdd8a944004491cd10161d3e238bac2ef3a2ad1a4f4cb86",
+          "portable": "5bc37aee165e33266ef52fc7598aa3495973097677df3874befcc02e7f7b13e5"}),
         ({"n_units": 20, "n_periods": 60, "seed": 5, "contamination_fraction": 0.1,
           "temporal_shift_r": 0.6}, "--boot-k 100 --seed 1", 3,
-         "41f20ddab374f0d0f9c3fcf2405294417fa129db1b0829f478f4295ba503c1c6"),
+         {"avx512": "c7acf6809dcfdcf66247c695a4041034d6edc23e8ff40a4dcb8381dca30e84b2",
+          "portable": "c8e71d5007b87deda1ff5f783e75db9b78d4e0f220309bc992ef7616fcc34daf"}),
         ({"n_units": 30, "n_periods": 12, "seed": 6}, "--boot-k 300 --seed 4", 0,
-         "7570619612abcd18a59d0368274a92f62f68545c623f4fe378d45879c88ad89a"),
+         {"avx512": "a06dfeadf9c4fbbb216511b18c569cce07fdbb5bb86b015425eaaa7bc636e2c3",
+          "portable": "d09fb64c3d6428c56487c3c297471c70a507cfcbf24a7eb62f733e3b4a1f930f"}),
     ],
+    ids=["12x10", "20x60", "30x12"],
 )
-def test_temporal_report_bytes_are_pinned(tmp_path, monkeypatch, scenario, flags, code, digest):
+def test_temporal_report_bytes_are_pinned(tmp_path, monkeypatch, scenario, flags, code, digests):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.json").write_text(json.dumps(scenario))
     assert parse_and_dispatch("simulate --scenario s.json --out p.csv".split()) == 0
     assert parse_and_dispatch(f"test-temporal --panel p.csv {flags} --out t.json".split()) == code
-    assert sha(tmp_path / "t.json") == digest
+    assert sha(tmp_path / "t.json") == digests[dispatch_path()]
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
