@@ -19,9 +19,11 @@ arrays up to the refit. Each unit's AR-sieve bootstrap (Buehlmann 1997) then
 runs with its coefficient set to the cross-unit mean, so the resamples obey
 the null; that one pooled value is shrunk first if it is (near-)explosive.
 Each sieve rebuilds k series from the unit's centered fit residuals; each is
-refit. The sieves of all units run as one recursion over N*k series: one
-generator draws their innovation indices as a single block, by Lemire's rule
-on chunks of its raw words (rng.index_block, bit for bit
+refit, after a burn-in of b values: the fewest for which |pooled|**b, the
+share of the start left, is below 1e-9, kept within [10, 200] (ledger D27
+in CHANGES.md). The sieves of all units run as one recursion over N*k
+series: one generator draws their innovation indices as a single block, by
+Lemire's rule on chunks of its raw words (rng.index_block, bit for bit
 Generator.integers), the lagged and the new value swap between two arrays,
 and the refit's four sums are accumulated while the recursion runs, so no
 sieve series is stored. One elimination step of the N*k 2x2 normal equations
@@ -61,8 +63,11 @@ from .frontier import TE_LOWER, te_to_logit
 from .rng import check_seed, index_block, substream
 from .types import PanelDataset, as_count
 
-#: Values drawn and discarded before a sieve series is emitted.
-SIEVE_BURN_IN = 50
+#: The sieve's burn-in: enough steps for |rho|**b, the share of the start
+#: left in a series, to fall below _BURN_IN_TOL, between a floor and a cap.
+_BURN_IN_TOL = 1e-9
+_BURN_IN_FLOOR = 10
+_BURN_IN_CAP = 200
 
 #: |lag-1 coefficient| from which the pooled AR(1) is rescaled before sieving.
 _STABILIZE_RADIUS = 0.999
@@ -240,6 +245,20 @@ def _stabilized(rho: float) -> float:
     return rho
 
 
+def _burn_in(rho: float) -> int:
+    """Steps each sieve series runs, and discards, before it emits a value:
+    ceil(ln _BURN_IN_TOL / ln |rho|), kept within [_BURN_IN_FLOOR,
+    _BURN_IN_CAP]; the floor when rho is 0. ``rho`` is the coefficient the
+    sieve runs with, so after _stabilized |rho| < 1, and at the
+    stabilisation target 0.98 the cap binds.
+    """
+    radius = abs(rho)
+    if radius == 0.0:  # ln 0 raises
+        return _BURN_IN_FLOOR
+    steps = math.ceil(math.log(_BURN_IN_TOL) / math.log(radius))
+    return min(_BURN_IN_CAP, max(_BURN_IN_FLOOR, steps))
+
+
 @contextmanager
 def reused_buffers():
     """Keep the temporal sieve's (N, k) working arrays on this thread while
@@ -291,7 +310,8 @@ def _sieve_refit(intercepts, residuals, heads, rho: float, idx: np.ndarray) -> n
     into its residuals, so at step s unit i's series is the entry c_i + e
     that idx[s, i] picks in that table, plus rho*y_{t-1}. The lagged and the
     new value are two (units, k) arrays that swap roles each step, so no
-    state is copied. Each series is emitted after SIEVE_BURN_IN steps and
+    state is copied. The block's steps are a burn-in and then the m + 1 that
+    emit y_0, ..., y_m, so the burn-in is its length less m + 1. Each series
     regresses y_t, t >= 1, on (1, y_{t-1}). The sums of y_{t-1}, y_{t-1}**2,
     y_t and y_{t-1}*y_t are accumulated while the recursion runs, one term
     per step in time order, which is the order in which an einsum over the
@@ -303,7 +323,7 @@ def _sieve_refit(intercepts, residuals, heads, rho: float, idx: np.ndarray) -> n
     result.
     """
     steps, n, k = idx.shape
-    first = SIEVE_BURN_IN + 1  # the step that emits y_1, the first target
+    first = steps - residuals.shape[1]  # the step that emits y_1, the first target
     floats, (offsets, position) = _sieve_buffers(n, k)
     lagged, new, product = floats[:3]
     sums = floats[3:]
@@ -400,20 +420,22 @@ def _null_sieve_draws(series, coeffs, residuals, config: TestConfig) -> np.ndarr
     ``coeffs`` and ``residuals`` are _ar_fit_rows' stacked fits of the
     (N, m) ``series``, whose first column starts the sieves. Every unit's
     sieve runs with the cross-unit mean of the lag-1 coefficients, stabilized
-    if it is (near-)explosive. One generator, substream "temporal-sieve",
-    draws the innovation indices of all units as one time-major (steps, N, k)
+    if it is (near-)explosive, and burns in for as many steps as _burn_in
+    gives that coefficient. One generator, substream "temporal-sieve", draws
+    the innovation indices of all units as one time-major (b + m, N, k)
     block in the smallest unsigned dtype that holds them: rng.index_block,
     which gives the bits of Generator.integers from whole chunks of raw
     words.
     """
     n, m = series.shape
+    rho = _stabilized(np.mean(coeffs[:, 1]))
     return _sieve_refit(  # no reference kept here, so the refit can free the block
         coeffs[:, 0],
         residuals,
         series[:, 0],
-        _stabilized(np.mean(coeffs[:, 1])),
+        rho,
         index_block(
-            config.seed, "temporal-sieve", n=m - 1, shape=(SIEVE_BURN_IN + m, n, config.n_boot_k)
+            config.seed, "temporal-sieve", n=m - 1, shape=(_burn_in(rho) + m, n, config.n_boot_k)
         ),
     )
 
@@ -426,7 +448,8 @@ def test_constant_temporal(panel: PanelDataset, config: TestConfig) -> TestRepor
     fit_frontier_gls. Every unit is fit an AR(1) first, in one pass; the
     first unit, in unit order, whose fit fails is named in a BootstrapError.
     Each unit's sieve then runs with the cross-unit mean coefficient,
-    imposing the null. One unit-batched recursion generates all N*k sieve
+    imposing the null, and burns in for as long as that coefficient needs
+    (_burn_in). One unit-batched recursion generates all N*k sieve
     series from one generator's time-major innovation indices and sums their
     AR(1) refits' normal equations as it goes; one elimination step then
     gives the N*k refit coefficients. The per-unit intervals are

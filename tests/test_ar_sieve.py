@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import threading
 import tracemalloc
@@ -22,8 +23,8 @@ from stfrontier import (
 )
 from stfrontier import assumption_tests, rng
 from stfrontier.assumption_tests import (
-    SIEVE_BURN_IN,
     _ar_fit_rows,
+    _burn_in,
     _last_coefficient,
     _null_sieve_draws,
     _sieve_buffers,
@@ -255,23 +256,44 @@ class TestStabilization:
         assert _stabilized(a) == _oracle_stabilized(a)
 
 
+class TestBurnIn:
+    @pytest.mark.parametrize(
+        "rho, steps",
+        [
+            (0.0, 10), (-0.0, 10), (1e-3, 10), (0.1, 10),  # the floor binds
+            (0.2, 13), (0.26, 16), (-0.26, 16), (0.5, 30), (-0.5, 30), (0.9, 197),
+            (0.95, 200), (_stabilized(1.2), 200), (_stabilized(-1.05), 200),  # the cap binds
+        ],
+    )
+    def test_steps_follow_the_rule(self, rho, steps):
+        assert _burn_in(rho) == _oracle_burn_in(rho) == steps
+        assert type(_burn_in(rho)) is int
+
+
 # Reference for the unit-batched sieve: a per-unit recursion and an einsum
 # refit over the stored series. Unit i reads its (k, steps) innovation
-# indices from the block as idx[:, i, :].T. The recursion adds in the
-# kernel's order, c + e first and then the lag product, so the draws match
-# bit for bit.
+# indices from the block as idx[:, i, :].T; the first steps - m of them are
+# the burn-in. The recursion adds in the kernel's order, c + e first and then
+# the lag product, so the draws match bit for bit.
+
+
+def _oracle_burn_in(rho):
+    """Reference for _burn_in, written out: the fewest steps b after which
+    |rho|**b is below 1e-9, kept within [10, 200]; 10 at rho = 0."""
+    if rho == 0:
+        return 10
+    return min(200, max(10, math.ceil(math.log(1e-9) / math.log(abs(rho)))))
 
 
 def _oracle_sieve_batch(intercept, rho, residuals, head, m, unit_idx):
     k, steps = unit_idx.shape
-    assert steps == SIEVE_BURN_IN + m
     shocks = intercept + residuals[unit_idx]
     state = np.full(k, head)
     out = np.empty((k, steps))
     for s in range(steps):
         state = shocks[:, s] + rho * state
         out[:, s] = state
-    return out[:, SIEVE_BURN_IN:]
+    return out[:, steps - m:]
 
 
 def _oracle_normal_equations(series_batch):
@@ -293,12 +315,20 @@ def _oracle_ar_refit_batch(series_batch):
     return _solve_last(*_oracle_normal_equations(series_batch))
 
 
-def _index_block(config, n_units, m):
-    """The innovation indices _null_sieve_draws draws: one generator, one block."""
+def _oracle_pooled(series):
+    """The coefficient every unit's sieve runs with, from per-unit ARFit
+    objects: their mean, stabilized."""
+    return _oracle_stabilized(float(np.mean([ar_fit(row).rho for row in series])))
+
+
+def _index_block(config, series):
+    """The innovation indices _null_sieve_draws draws for ``series``: one
+    generator, one block of the burn-in's and the series' steps."""
+    n_units, m = series.shape
     return substream(config.seed, "temporal-sieve").integers(
         0,
         m - 1,
-        size=(SIEVE_BURN_IN + m, n_units, config.n_boot_k),
+        size=(_oracle_burn_in(_oracle_pooled(series)) + m, n_units, config.n_boot_k),
         dtype=np.min_scalar_type(m - 2),
     )
 
@@ -307,7 +337,7 @@ def _oracle_null_series(series, idx):
     """Each unit's (k, m) null sieve series, unit by unit, from per-unit
     ARFit objects."""
     fits = [ar_fit(row) for row in series]
-    pooled = _oracle_stabilized(float(np.mean([fit.rho for fit in fits])))
+    pooled = _oracle_pooled(series)
     for i, fit in enumerate(fits):
         yield _oracle_sieve_batch(fit.intercept, pooled, fit.centered_residuals, series[i, 0],
                                   series.shape[1], idx[:, i, :].T)
@@ -356,7 +386,7 @@ class TestLastCoefficient:
     def test_agrees_with_solve_on_gate_refit_systems(self, seed, contaminated, t):
         series = fit_frontier_gls(gate_panel(seed, contaminated, n_periods=t)).innovations
         config = TestConfig(n_boot_k=500, seed=100 + seed)
-        idx = _index_block(config, len(series), series.shape[1])
+        idx = _index_block(config, series)
         batches = np.concatenate(list(_oracle_null_series(series, idx)))
         xtx, xty = _oracle_normal_equations(batches)
         reference = np.linalg.solve(xtx, xty[..., None])[:, -1, 0]
@@ -417,19 +447,20 @@ class TestLastCoefficient:
 # before the temporal test was fixed at AR(1) (ledger D21). The two simulated
 # panels' pins were recorded again when expit came to use numpy's exp (ledger
 # D22), and when the temporal test came to read the fit's innovations as
-# fitted, not rebuilt from u_hat (ledger D26). The explosive series takes no
-# exp or log, so it has one digest on both paths.
+# fitted, not rebuilt from u_hat (ledger D26). All three were recorded again
+# when the burn-in came to follow the pooled coefficient (ledger D27). The
+# explosive series takes no exp or log, so it has one digest on both paths.
 PINNED_DRAWS = {
     (1, 12): {
-        "avx512": "d18dd2d62df280e10c3df8a9c0fb6f46074a421b299bc4c93e6bfabd3d726aa8",
-        "portable": "348fa810ecdcabb7bfae897dfe4a54f0d129aa8828933665b8a7af00b59da741",
+        "avx512": "bb21ed2eeb190088c4fa935f3c1c13944e464040ee8b43abf65b9f6065fa3d54",
+        "portable": "6939ccad706ba35cd4ac1985026b65a0840fcf3cb94fca4f208705d105addb39",
     },
     (2, 60): {
-        "avx512": "22d0c1f4501c6e86cc43da5a5b8ac970932e6343639495da468743b6355bd1bc",
-        "portable": "fd62ec85138940825633cf42853d6a3473ea8264624c6b03430980f2cc66aac1",
+        "avx512": "8cb22fb173e15ca9011cbee3c03b9e2844dd73fb41047b45bf7a6507f1c5967e",
+        "portable": "f5b06af4c309af6c21f8e3c441e5179e173cb8ee31fd2f3e7c4206ecf6d90c87",
     },
     "explosive": dict.fromkeys(
-        ("avx512", "portable"), "4931f2ee9bfd2d788852fbc76370c6b9e074858c7d02bc5ad1a043460cdab8ed"
+        ("avx512", "portable"), "b71582815f6fea508d6369ac8d3aa4b520be9c0a1a2adceb78ae0327a26b82d8"
     ),
 }
 
@@ -469,14 +500,14 @@ class TestBatchedSieve:
         series = fit_frontier_gls(gate_panel(seed, contaminated, n_periods=t)).innovations
         config = TestConfig(n_boot_k=500, seed=100 + seed)
         batched = _null_sieve_draws(series, *stacked_fits(series), config)
-        idx = _index_block(config, len(series), t)
+        idx = _index_block(config, series)
         assert np.array_equal(batched, _oracle_null_draws(series, idx))
 
     def test_singular_unit_falls_back_to_least_squares(self):
         # a flat recursion with no innovations makes that unit's refit singular
         intercepts, residuals, heads, rho = _flat_and_good_unit()
         idx = np.random.default_rng(0).integers(
-            0, 11, size=(SIEVE_BURN_IN + 12, 2, 100), dtype=np.uint8
+            0, 11, size=(_oracle_burn_in(rho) + 12, 2, 100), dtype=np.uint8
         )
         batched = _sieve_refit(intercepts, residuals, heads, rho, idx)
         oracle = [
@@ -492,14 +523,16 @@ class TestBatchedSieve:
         series = make_ar1(0.5, 12, seed=8)[None]
         config = TestConfig(n_boot_k=200, seed=9)
         batched = _null_sieve_draws(series, *stacked_fits(series), config)
-        idx = _index_block(config, 1, 12)
+        idx = _index_block(config, series)
         assert batched.shape == (1, 200)
         assert np.array_equal(batched, _oracle_null_draws(series, idx))
 
     def test_zero_residuals_give_deterministic_recursion(self):
         # with no innovations every sieve series is the same noiseless AR(1)
-        # path from the observed head, which the refit reproduces exactly
-        series = np.full((1, 20), 10.0)  # only the head and the length are read
+        # path from the observed head, which the refit reproduces exactly. The
+        # 200 burn-in steps at 0.95 leave 3.5e-5 of the head's distance from
+        # the mean 6, so the head sits far out for the path to still move
+        series = np.full((1, 20), 1e4)  # only the head and the length are read
         coeffs, residuals = np.array([[0.3, 0.95]]), np.zeros((1, 19))
         draws = _null_sieve_draws(series, coeffs, residuals, TestConfig(n_boot_k=100, seed=1))
         assert np.array_equal(draws, np.full_like(draws, draws[0, 0]))
@@ -531,7 +564,7 @@ class TestBatchedSieve:
         assert coeffs[:, 1].mean() >= assumption_tests._STABILIZE_RADIUS
         config = TestConfig(n_boot_k=200, seed=22)
         draws = _null_sieve_draws(series, coeffs, residuals, config)
-        assert np.array_equal(draws, _oracle_null_draws(series, _index_block(config, 8, 30)))
+        assert np.array_equal(draws, _oracle_null_draws(series, _index_block(config, series)))
 
     @pytest.mark.parametrize("t, dtype", [(257, np.uint8), (258, np.uint16)])
     def test_index_block_is_one_time_major_draw_in_smallest_dtype(self, monkeypatch, t, dtype):
@@ -547,9 +580,37 @@ class TestBatchedSieve:
         monkeypatch.setattr(assumption_tests, "_sieve_refit", record)
         _null_sieve_draws(series, *stacked_fits(series), config)
         (idx,) = seen
-        assert idx.shape == (SIEVE_BURN_IN + t, 3, 100) and idx.dtype == dtype
-        assert idx.min() == 0 and idx.max() == t - 2
-        assert np.array_equal(idx, _index_block(config, 3, t))
+        assert idx.shape == (_oracle_burn_in(_oracle_pooled(series)) + t, 3, 100)
+        assert idx.dtype == dtype and idx.min() == 0 and idx.max() == t - 2
+        assert np.array_equal(idx, _index_block(config, series))
+
+    @pytest.mark.parametrize(
+        "case, steps",
+        [("white", 10), ("gate", 10), ("50x60", 14), ("ar0.6", 33), ("explosive", 200)],
+    )
+    def test_block_asked_for_holds_the_burn_in_and_the_series(self, monkeypatch, case, steps):
+        # steps is the burn-in the test's own formula gives each pooled
+        # coefficient: the floor, three between, and the cap
+        if case == "explosive":
+            series = explosive_series()
+        elif case == "gate":
+            series = fit_frontier_gls(gate_panel(1)).innovations
+        elif case == "50x60":
+            series = fit_frontier_gls(gate_panel(6, n_periods=60)).innovations
+        else:
+            rho = 0.0 if case == "white" else 0.6
+            series = np.stack([make_ar1(rho, 30, seed=s) for s in range(4)])
+        assert _oracle_burn_in(_oracle_pooled(series)) == steps
+        seen = []
+
+        def record(seed, key, *, n, shape):
+            seen.append(shape)
+            return index_block(seed, key, n=n, shape=shape)
+
+        monkeypatch.setattr(assumption_tests, "index_block", record)
+        config = TestConfig(n_boot_k=100, seed=2)
+        _null_sieve_draws(series, *stacked_fits(series), config)
+        assert seen == [(steps + series.shape[1], len(series), 100)]
 
     def test_draws_centre_on_pooled_coefficient(self):
         # long AR(1) units: each unit's draws sit near the pooled coefficient
@@ -584,7 +645,7 @@ class TestReusedBuffers:
 
     def _assert_draws_equal_oracle(self, series, config):
         draws = _null_sieve_draws(series, *stacked_fits(series), config)
-        idx = _index_block(config, len(series), 12)
+        idx = _index_block(config, series)
         assert np.array_equal(draws, _oracle_null_draws(series, idx))
 
     def test_consecutive_draws_in_one_scope_equal_oracle(self):
@@ -600,7 +661,7 @@ class TestReusedBuffers:
         # the elimination must leave the reused sums intact for lstsq
         intercepts, residuals, heads, rho = _flat_and_good_unit()
         idx = np.random.default_rng(0).integers(
-            0, 11, size=(SIEVE_BURN_IN + 12, 2, 100), dtype=np.uint8
+            0, 11, size=(_oracle_burn_in(rho) + 12, 2, 100), dtype=np.uint8
         )
         good, flat = (
             _oracle_sieve_batch(intercepts[i], rho, residuals[i], heads[i], 12, idx[:, i, :].T)
@@ -669,7 +730,8 @@ class TestReusedBuffers:
         assert len(peaks) == 2 and max(peaks) <= 1.5 * draws.nbytes
 
     def test_later_replication_in_a_scope_allocates_little(self):
-        # bound fixed before the first run: the 1.55 MB index block and a few
+        # bound fixed before the first run: the index block, 1.55 MB when the
+        # burn-in was 50 steps and 0.55 MB at the floor's 10, and a few
         # (50, 500) arrays, against about 3.5 MiB for a call outside a scope
         panel = gate_panel(1)
         config = TestConfig(n_boot_k=500, seed=3)
