@@ -3,13 +3,16 @@
 Exit codes: 0 success (or test fails to reject), 3 test rejected the null,
 1 usage or data error, 2 numerical failure. Every run prints a one-line
 summary with the effective seed; re-running the same line reproduces the
-outputs byte for byte.
+outputs byte for byte. Each output records its "command" as the arguments'
+own bytes read as UTF-8, any byte that is not UTF-8 written as an escape
+such as \\xff, so every locale records the same line.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import secrets
 import sys
 from dataclasses import replace
@@ -79,8 +82,9 @@ def _effective_seed(given: int | None) -> int:
     return secrets.randbelow(MAX_SEED + 1) if given is None else check_seed(given)
 
 
-def _meta(args_line: str, seed: int) -> dict:
-    return {"command": args_line, "seed": seed}
+def _meta(argv: list[str], seed: int) -> dict:
+    command = " ".join(os.fsencode(a).decode("utf-8", "backslashreplace") for a in argv)
+    return {"command": command, "seed": seed}
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -88,7 +92,7 @@ def _cmd_simulate(args, argv) -> int:
     seed = args.seed if args.seed is not None else scenario.seed
     scenario = replace(scenario, seed=_effective_seed(seed))
     panel, _, _, _ = simulate_panel(scenario)
-    io.write_panel_csv(panel, args.out, _meta(" ".join(argv), scenario.seed))
+    io.write_panel_csv(panel, args.out, _meta(argv, scenario.seed))
     print(
         f"simulate: wrote {panel.n_units * panel.n_periods} rows "
         f"({panel.n_units} units x {panel.n_periods} periods) to {args.out} "
@@ -100,7 +104,7 @@ def _cmd_simulate(args, argv) -> int:
 def _cmd_estimate(args, argv) -> int:
     panel = io.read_panel_csv(args.panel)
     result = estimate_model(panel)
-    meta = _meta(" ".join(argv), 0)
+    meta = _meta(argv, 0)
     io.write_json(io.estimation_report_dict(result, meta), args.out)
     if args.te_out:
         io.write_te_csv(result.te, panel.unit_ids, panel.period_ids, args.te_out, meta)
@@ -148,7 +152,7 @@ def _cmd_test(kind: str, args, argv) -> int:
         else:
             te = estimate_model(panel).te
         report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
-    io.write_json(io.test_report_dict(report, _meta(" ".join(argv), seed)), args.out)
+    io.write_json(io.test_report_dict(report, _meta(argv, seed)), args.out)
     verdict = "reject" if report.reject else "fail-to-reject"
     print(
         f"test-{kind}: {verdict} (n_failing={report.n_failing}, "
@@ -161,7 +165,7 @@ def _cmd_power(args, argv) -> int:
     grid = io.read_grid_json(args.grid)
     seed = _effective_seed(args.seed)
     table = run_grid(grid, args.reps, seed)
-    io.write_power_csv(table, args.out, _meta(" ".join(argv), seed))
+    io.write_power_csv(table, args.out, _meta(argv, seed))
     if args.summary:
         print(table.summary_text())
     print(f"power: {len(table.cells)} cells x {args.reps} reps -> {args.out} [seed={seed}]")
@@ -201,6 +205,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # the summary echoes argument bytes that the locale cannot decode as they came
+    sys.stdout.reconfigure(errors="surrogateescape")
     sys.exit(parse_and_dispatch(sys.argv[1:]))
 
 

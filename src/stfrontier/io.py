@@ -1,9 +1,9 @@
 """File formats: long-format panel CSV, TE CSV, scenario/grid JSON, reports.
 
 Every writer embeds the tool version, the issuing command, and the effective
-seed (as '#' comment lines in CSV, a "meta" object in JSON) and writes
-atomically (temp file + rename) with the file mode a plain open() would give.
-No timestamps, so identical runs produce identical bytes.
+seed (as '#' comment lines in CSV, a "meta" object in JSON), and writes UTF-8
+bytes, whatever the locale, atomically (temp file + rename) with the file mode
+a plain open() would give. No timestamps: identical runs give identical bytes.
 
 Both long-CSV readers share one parser: it reads the file once, in blocks of
 lines, and every row check is an array mask. A plain block, laid out as the
@@ -69,29 +69,33 @@ def _versioned(meta: dict | None) -> dict:
     return {"version": __version__, **(meta or {})}
 
 
+# a line break in a meta value is escaped, so each entry stays one comment line
+_ONE_LINE = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
 def _meta_lines(meta: dict | None) -> list[str]:
-    return [f"# {key}: {value}" for key, value in _versioned(meta).items()]
+    return [f"# {k}: {str(v).translate(_ONE_LINE)}" for k, v in _versioned(meta).items()]
 
 
 @contextmanager
 def _atomic_open(path: str):
-    """A text handle on a temp file that replaces `path` when the block exits.
+    """A binary handle on a temp file that replaces `path` when the block
+    exits. Callers write UTF-8 bytes, so the locale never enters a file.
 
-    The file gets the mode the target already has, or 0o666 less the umask
-    for a new file; mkstemp alone would leave it at 0o600.
+    The file gets the mode the target already has, or, for a new file, the
+    mode open() gives: os.open creates it as 0o666, narrowed by the umask.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}~")
+    # a new file only, as mkstemp opens it: no link followed, no newline translation
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    fd = os.open(tmp, flags | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with open(fd, "wb") as handle:
             yield handle
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)  # the umask can only be read by setting it
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp, mode)
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:  # no target: the mode os.open gave stays
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -101,7 +105,7 @@ def _atomic_open(path: str):
 
 def _atomic_write(path: str, text: str) -> None:
     with _atomic_open(path) as handle:
-        handle.write(text)
+        handle.write(text.encode())
 
 
 # Block sizes for writing and reading long CSVs: they bound the memory that a
@@ -123,18 +127,13 @@ def _split_pays(blocks: int) -> bool:
     return blocks >= _SPLIT_MIN_BLOCKS and fork_width() > 1
 
 
-class _Echo:
-    """A sink whose write() returns its text; csv.writer.writerow returns
-    what write() returns, so it hands back each formatted row."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
 def _csv_fields(labels) -> list[str]:
-    """Each label as csv.writer writes it inside a row, quoted where needed."""
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    return [writer.writerow(("", str(label)))[1:-1] for label in labels]
+    """Each label as csv.writer writes it inside a row: quoted, its quotes
+    doubled, where it holds a comma or a quote (a line break is refused)."""
+    return [
+        '"' + label.replace('"', '""') + '"' if "," in label or '"' in label else label
+        for label in map(str, labels)
+    ]
 
 
 def _check_labels(unit_ids, period_ids) -> None:
@@ -369,21 +368,19 @@ def _write_long_csv(
             sink.write(rows[rows != _FILL])
         sink.flush()  # a forked child leaves through os._exit, which flushes nothing
 
+    head = [*_meta_lines(meta), ",".join(["unit", "period", *columns]), ""]
     with _atomic_open(path) as handle:
-        handle.writelines(line + "\n" for line in _meta_lines(meta))
-        csv.writer(handle, lineterminator="\n").writerow(["unit", "period", *columns])
-        handle.flush()  # the blocks go to the bytes below the text layer
+        handle.write("\n".join(head).encode())
         if not _split_pays(len(starts)):
-            write_blocks(handle.buffer, starts)
+            write_blocks(handle, starts)
             return
         half = len(starts) // 2
-        directory = os.path.dirname(os.path.abspath(path))
-        with tempfile.TemporaryFile(dir=directory) as rest:
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as rest:
             with _forked(lambda: write_blocks(rest, starts[half:])) as join:
-                write_blocks(handle.buffer, starts[:half])
+                write_blocks(handle, starts[:half])
                 join()
             rest.seek(0)
-            shutil.copyfileobj(rest, handle.buffer)
+            shutil.copyfileobj(rest, handle)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,11 +1042,8 @@ def read_scenario_json(path: str) -> Scenario:
 
 
 def write_scenario_json(scenario: Scenario, path: str, meta: dict | None = None) -> None:
-    payload: dict = {}
-    if meta is not None:
-        payload["meta"] = _versioned(meta)
-    payload.update(asdict(scenario))
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    head = {} if meta is None else {"meta": _versioned(meta)}
+    write_json({**head, **asdict(scenario)}, path)
 
 
 def read_grid_json(path: str) -> GridSpec:

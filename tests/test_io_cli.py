@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import stfrontier
 import stfrontier.io as stio
 from stfrontier import (
     DOMINANCE_SHARES,
@@ -27,6 +29,8 @@ from stfrontier import (
     GridSpec,
     ModelParams,
     PanelDataset,
+    PowerCell,
+    PowerTable,
     Scenario,
     ValidationError,
     run_grid,
@@ -63,6 +67,23 @@ BASIC_HEADER = "unit,period,y,x1,w1,z1"
 
 def write_rows(path, rows, header=BASIC_HEADER):
     path.write_text("\n".join([header] + rows) + "\n")
+
+
+def package_env(**extra):
+    """This process's environment and `extra`, with the package's source
+    first on PYTHONPATH, for a subprocess."""
+    src = os.path.dirname(os.path.dirname(stio.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
+def run_cli(cwd, argv, python=(), **env):
+    """The CLI's main() in a subprocess with interpreter options `python`;
+    arguments given as bytes reach it as a shell passes them."""
+    return subprocess.run(
+        [sys.executable, *python, "-c", "from stfrontier.cli import main; main()", *argv],
+        cwd=cwd, env=package_env(**env), capture_output=True, timeout=300,
+    )
 
 
 class TestPanelCsv:
@@ -832,6 +853,59 @@ class TestWriter:
         assert json.loads(target.read_text()) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+    def test_no_writer_reads_the_umask(self, tmp_path, monkeypatch, cpus):
+        # setting the umask to read it changes it for every thread of the process
+        set_umask, parent = os.umask, os.getpid()
+
+        def refused(mask):
+            raise AssertionError("os.umask called")
+
+        def child_dies(values):
+            if os.getpid() != parent:
+                os._exit(3)
+            return format_floats(values)
+
+        panel = simulated_panel()
+        te = np.linspace(0.4, 0.9, 30).reshape(6, 5)
+        scenario = Scenario(n_units=6, n_periods=5, seed=9)
+        cell = PowerCell(scenario, "temporal", 4, 1, 0.25)
+        format_floats = stio._format_floats
+        old = set_umask(0o027)
+        monkeypatch.setattr(os, "umask", refused)
+        try:
+            for n_cpus in (1, 2):  # 6 blocks of one unit: written in two halves on 2 CPUs
+                forks = cpus(n_cpus)
+                write_panel_csv(panel, str(tmp_path / f"panel{n_cpus}.csv"), {"seed": 5})
+                write_te_csv(te, panel.unit_ids, panel.period_ids, str(tmp_path / f"te{n_cpus}.csv"))
+                assert len(forks) == 2 * (n_cpus - 1)
+            write_json({"a": 1}, str(tmp_path / "report.json"))
+            write_scenario_json(scenario, str(tmp_path / "scenario.json"), {"seed": 9})
+            stio.write_power_csv(PowerTable((cell,)), str(tmp_path / "power.csv"), {"seed": 2})
+            written = sorted(path.name for path in tmp_path.iterdir())
+            # neither a refused rename nor an error in the split writer's child
+            # leaves a temp file
+            with pytest.raises(IsADirectoryError):
+                write_json({"a": 1}, str(tmp_path))
+            monkeypatch.setattr(stio, "_format_floats", child_dies)
+            with pytest.raises(ChildProcessError):
+                write_te_csv(te, panel.unit_ids, panel.period_ids, str(tmp_path / "te.csv"))
+        finally:
+            set_umask(old)
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
+        assert len(written) == 7
+        for name in written:
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
+        for kind in ("panel", "te"):
+            assert sha(tmp_path / f"{kind}1.csv") == sha(tmp_path / f"{kind}2.csv")
+        units = read_panel_csv(str(tmp_path / "panel1.csv")).unit_ids
+        assert units == tuple(map(str, panel.unit_ids))
+        assert np.array_equal(read_te_csv(str(tmp_path / "te1.csv"))[0], te)
+        assert json.loads((tmp_path / "report.json").read_text()) == {"a": 1}
+        assert read_scenario_json(str(tmp_path / "scenario.json")) == scenario
+        assert (tmp_path / "power.csv").read_text().splitlines()[-1] == (
+            "temporal,6,5,equal,0.0,0.0,4,1,0.25"
+        )
+
 
 # ---------------------------------------------------------------------------
 # A long CSV of several blocks is written and read in two halves, the second
@@ -1086,17 +1160,10 @@ class TestSplit:
     def test_cli_simulate_prints_its_summary_once(self, tmp_path):
         # 1000 x 30 rows are eight write blocks
         (tmp_path / "s.json").write_text(json.dumps({"n_units": 1000, "n_periods": 30}))
-        src = os.path.dirname(os.path.dirname(stio.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-c", "from stfrontier.cli import main; main()",
-             "simulate", "--scenario", "s.json", "--seed", "7", "--out", "p.csv"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = run_cli(tmp_path, "simulate --scenario s.json --seed 7 --out p.csv".split())
         assert done.returncode == 0, done.stderr
-        assert done.stdout.count("simulate: wrote 30000 rows") == 1
-        assert len(done.stdout.splitlines()) == 1 and done.stderr == ""
+        assert done.stdout.count(b"simulate: wrote 30000 rows") == 1
+        assert len(done.stdout.splitlines()) == 1 and done.stderr == b""
 
 
 # Labels of ASCII, 2-, 3- and 4-byte UTF-8, the characters csv.writer quotes
@@ -1795,11 +1862,8 @@ class TestCli:
                 ("scipy", "multiprocessing", "concurrent")))]))
             """
         )
-        src = os.path.dirname(os.path.dirname(stio.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            [sys.executable, "-c", script], cwd=tmp_path, env=package_env(),
             capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
@@ -1821,6 +1885,76 @@ class TestCli:
             ]
         )
         assert code == 1
+
+
+# The ASCII locale: with LC_ALL=C alone, Python would coerce the locale to
+# C.UTF-8 (PEP 538) and switch to UTF-8 mode (PEP 540).
+ASCII_LOCALE = {"python": ("-X", "utf8=0"), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestCommandLine:
+    """What a command line records, whatever its bytes and the locale."""
+
+    @pytest.fixture()
+    def scenario_dir(self, tmp_path):
+        def make(name):
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / "s.json").write_text(json.dumps({"n_units": 5, "n_periods": 4, "seed": 3}))
+            return directory
+
+        return make
+
+    def test_outputs_keep_their_bytes_under_the_ascii_locale(self, scenario_dir):
+        names = ["pü.csv", "r.json", "té.csv"]
+        panel, report, te = (name.encode() for name in names)
+        written = []
+        for locale in (ASCII_LOCALE, {}):
+            directory = scenario_dir("ascii" if locale else "own")
+            for argv in (
+                [b"simulate", b"--scenario", b"s.json", b"--out", panel],
+                [b"estimate", b"--panel", panel, b"--out", report, b"--te-out", te],
+            ):
+                done = run_cli(directory, argv, **locale)
+                assert done.returncode == 0, done.stderr.decode(errors="replace")
+            written.append({name: (directory / name).read_bytes() for name in names})
+        assert written[0] == written[1]
+        assert b"# command: simulate --scenario s.json --out p\xc3\xbc.csv\n" in written[0]["pü.csv"]
+        command = json.loads(written[0]["r.json"])["meta"]["command"]
+        assert command == "estimate --panel pü.csv --out r.json --te-out té.csv"
+
+    # a UTF-8 locale such as en_US.UTF-8 gives sys.stdout the strict handler
+    @pytest.mark.parametrize("env", [{}, {"PYTHONIOENCODING": "utf-8:strict"}],
+                             ids=["own", "strict-stdout"])
+    def test_a_byte_that_is_not_utf8_is_escaped(self, scenario_dir, env):
+        directory = scenario_dir("out")
+        done = run_cli(directory, [b"simulate", b"--scenario", b"s.json", b"--out", b"p\xff.csv"],
+                       **env)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert done.stdout.startswith(b"simulate: wrote 20 rows") and b" to p\xff.csv " in done.stdout
+        path = directory / os.fsdecode(b"p\xff.csv")
+        lines = path.read_bytes().splitlines()
+        assert lines[1] == b"# command: simulate --scenario s.json --out p\\xff.csv"
+        assert read_panel_csv(str(path)).n_units == 5
+
+    @pytest.mark.parametrize("name", ["q\nr.csv", "q\rr.csv", "q\r\nr.csv"])
+    def test_a_line_break_in_a_path_stays_in_its_meta_line(
+        self, scenario_dir, monkeypatch, capsys, name
+    ):
+        monkeypatch.chdir(scenario_dir("out"))
+        argv = ["simulate", "--scenario", "s.json", "--out", name]
+        assert parse_and_dispatch(argv) == 0
+        assert parse_and_dispatch(["estimate", "--panel", name, "--out", "r.json"]) == 0, (
+            capsys.readouterr().err
+        )
+        escaped = name.replace("\r", "\\r").replace("\n", "\\n")
+        lines = pathlib.Path(name).read_bytes().decode().split("\n")
+        assert lines[:4] == [
+            f"# version: {stfrontier.__version__}",
+            f"# command: simulate --scenario s.json --out {escaped}",
+            "# seed: 3",
+            "unit,period,y,x1,x2,w1,z1",
+        ]
 
 
 # sha256 of each artifact of test_output_bytes_are_pinned on each dispatch
