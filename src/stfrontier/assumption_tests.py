@@ -27,9 +27,7 @@ Lemire's rule on chunks of its raw words (rng.index_block, bit for bit
 Generator.integers), the lagged and the new value swap between two arrays,
 and the refit's four sums are accumulated while the recursion runs, so no
 sieve series is stored. One elimination step of the N*k 2x2 normal equations
-gives the refit coefficients. Within a reused_buffers block, as around a
-power cell's replications, the recursion's (N, k) arrays are allocated once
-and reused by every call of the same shape.
+gives the refit coefficients.
 Each unit's deviation is studentised by its own bootstrap standard
 deviation. The null is rejected when at least one unit's interval excludes
 the cross-unit mean of the original estimates. The order is fixed at 1: at a
@@ -51,8 +49,6 @@ of the period intervals exclude the cross-period mean, so c comes from the
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +75,6 @@ _MAX_RESAMPLE_RETRIES = 100
 #: Relative slack on interval limits, so that degenerate intervals from exact
 #: fits do not exclude the cross-block mean through rounding alone.
 _INTERVAL_RTOL = 1e-9
-
-#: The sieve buffer set of this thread's innermost reused_buffers block.
-_held = threading.local()
 
 
 @dataclass(frozen=True)
@@ -259,47 +252,6 @@ def _burn_in(rho: float) -> int:
     return min(_BURN_IN_CAP, max(_BURN_IN_FLOOR, steps))
 
 
-@contextmanager
-def reused_buffers():
-    """Keep the temporal sieve's (N, k) working arrays on this thread while
-    the block runs.
-
-    Inside the block _sieve_refit takes them from one set, keyed by
-    (N, k), which its first call allocates and later calls with the same
-    key reuse; a call with another key replaces the set. Outside any block
-    each call allocates its own. An inner block starts with no set, and on
-    exit the enclosing block's set, if any, is restored; run_power_cell
-    opens one around its replications. Without the block, malloc can
-    hand a freed set's pages back to the system after each replication, and
-    the next one faults them in again (ledger D18 in CHANGES.md).
-    """
-    outer = getattr(_held, "buffers", None)
-    _held.buffers = {}
-    try:
-        yield
-    finally:
-        _held.buffers = outer
-
-
-def _sieve_buffers(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_sieve_refit's working arrays: a (7, n, k) float block and a (2, n, k)
-    intp one.
-
-    The float block holds the lagged and the new value, one product, and the
-    normal equations' four sums. After the recursion the first three are
-    free, and the elimination writes into them.
-    """
-    held = getattr(_held, "buffers", None)
-    if held is not None and (n, k) in held:
-        return held[n, k]
-    if held:
-        held.clear()  # before the new set is allocated
-    buffers = np.empty((7, n, k)), np.empty((2, n, k), dtype=np.intp)
-    if held is not None:
-        held[n, k] = buffers
-    return buffers
-
-
 def _sieve_refit(intercepts, residuals, heads, rho: float, idx: np.ndarray) -> np.ndarray:
     """Lag-1 coefficient of an AR(1) refit to every sieve series, shape (units, k).
 
@@ -317,14 +269,15 @@ def _sieve_refit(intercepts, residuals, heads, rho: float, idx: np.ndarray) -> n
     per step in time order, which is the order in which an einsum over the
     stored series sums them; so the emitted series are never kept.
     _last_coefficient then solves all N*k systems at once, into the arrays
-    the recursion leaves free. Every (units, k) array but the result comes
-    from _sieve_buffers, and every op writes into one with out=, so inside
-    reused_buffers a replication allocates only the index block and the
-    result.
+    the recursion leaves free. The call allocates its working arrays once, a
+    (7, units, k) float block (the lagged and the new value, one product and
+    the four sums) and a (2, units, k) intp one, and every step writes into
+    them with out=.
     """
     steps, n, k = idx.shape
     first = steps - residuals.shape[1]  # the step that emits y_1, the first target
-    floats, (offsets, position) = _sieve_buffers(n, k)
+    floats = np.empty((7, n, k))
+    offsets, position = np.empty((2, n, k), dtype=np.intp)
     lagged, new, product = floats[:3]
     sums = floats[3:]
     sums.fill(0.0)

@@ -1023,8 +1023,9 @@ def _from_json(cls, data, what: str, prefix: str = ""):
 
 
 def _read_json(path: str, cls, what: str):
-    """The `cls` that the JSON file at `path` describes; its "meta" is dropped."""
-    with open(path, encoding="utf-8") as handle:
+    """The `cls` that the JSON file at `path` describes; its "meta" is dropped.
+    A leading UTF-8 BOM is skipped, as the CSV readers skip it."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as err:

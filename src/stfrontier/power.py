@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from .assumption_tests import (
     TestConfig,
     check_ar_length,
-    reused_buffers,
     test_constant_spatial,
     test_constant_temporal,
 )
@@ -174,9 +173,7 @@ def run_power_cell(
     model's noise, so it takes neither a series nor an order. The spatial
     test consumes the simulated ground-truth TE by default
     (te_source="true"); "estimated" feeds the model-predicted TE instead.
-    The test settings are checked once, before any replication. The
-    replications run in one assumption_tests.reused_buffers block, so the
-    temporal sieve's working arrays are allocated once per cell. Errors
+    The test settings are checked once, before any replication. Errors
     inside a replication are collected; the cell is abandoned only when more
     than 1% of replications fail. The rejection rate counts the completed
     replications only.
@@ -192,23 +189,22 @@ def run_power_cell(
 
     rejections = 0
     failures: list[str] = []
-    with reused_buffers():
-        for rep in range(n_reps):
-            rep_seed = derive_seed(master_seed, "power", key, rep)
-            try:
-                panel, _, true_u, _ = simulate_panel(replace(scenario, seed=rep_seed))
-                config = replace(settings, seed=derive_seed(rep_seed, "bootstrap"))
-                if test_kind == "temporal":
-                    report = test_constant_temporal(panel, config)
+    for rep in range(n_reps):
+        rep_seed = derive_seed(master_seed, "power", key, rep)
+        try:
+            panel, _, true_u, _ = simulate_panel(replace(scenario, seed=rep_seed))
+            config = replace(settings, seed=derive_seed(rep_seed, "bootstrap"))
+            if test_kind == "temporal":
+                report = test_constant_temporal(panel, config)
+            else:
+                if te_source == "true":
+                    te = technical_efficiency(true_u)
                 else:
-                    if te_source == "true":
-                        te = technical_efficiency(true_u)
-                    else:
-                        te = estimate_model(panel).te
-                    report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
-                rejections += int(report.reject)
-            except StfrontierError as err:
-                failures.append(f"replication {rep}: {err}")
+                    te = estimate_model(panel).te
+                report = test_constant_spatial(te, panel.spatial, config, panel.covariates)
+            rejections += int(report.reject)
+        except StfrontierError as err:
+            failures.append(f"replication {rep}: {err}")
     if len(failures) > _MAX_FAILURE_SHARE * n_reps:
         raise StfrontierError(
             f"cell {key} failed: {len(failures)}/{n_reps} replications errored; "

@@ -4,7 +4,7 @@ import re
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,10 +27,8 @@ from stfrontier.assumption_tests import (
     _burn_in,
     _last_coefficient,
     _null_sieve_draws,
-    _sieve_buffers,
     _sieve_refit,
     _stabilized,
-    reused_buffers,
     test_constant_temporal as run_temporal_test,
 )
 from stfrontier.estimation import least_squares
@@ -637,7 +635,7 @@ class TestBatchedSieve:
         assert peak <= 4 * 2**20
 
 
-class TestReusedBuffers:
+class TestCallsShareNoState:
     @staticmethod
     def _gate_series(seed, n_units):
         panel = gate_panel(seed, contaminated=seed % 2 == 1)
@@ -648,17 +646,16 @@ class TestReusedBuffers:
         idx = _index_block(config, series)
         assert np.array_equal(draws, _oracle_null_draws(series, idx))
 
-    def test_consecutive_draws_in_one_scope_equal_oracle(self):
-        # the second call reuses the first's set; N and k changes resize it
+    def test_consecutive_draws_equal_oracle(self):
+        # calls of the same and of changing N and k, one after another
         runs = [(1, 50, 500), (2, 50, 500), (3, 30, 500), (4, 30, 200), (5, 30, 200),
                 (6, 50, 500), (7, 50, 500)]
-        with reused_buffers():
-            for seed, n_units, k in runs:
-                config = TestConfig(n_boot_k=k, seed=100 + seed)
-                self._assert_draws_equal_oracle(self._gate_series(seed, n_units), config)
+        for seed, n_units, k in runs:
+            config = TestConfig(n_boot_k=k, seed=100 + seed)
+            self._assert_draws_equal_oracle(self._gate_series(seed, n_units), config)
 
-    def test_singular_unit_falls_back_in_a_scope(self):
-        # the elimination must leave the reused sums intact for lstsq
+    def test_singular_unit_falls_back_twice_in_a_row(self):
+        # the elimination must leave the sums intact for lstsq
         intercepts, residuals, heads, rho = _flat_and_good_unit()
         idx = np.random.default_rng(0).integers(
             0, 11, size=(_oracle_burn_in(rho) + 12, 2, 100), dtype=np.uint8
@@ -670,40 +667,8 @@ class TestReusedBuffers:
         lstsq = [np.linalg.lstsq(a, b, rcond=None)[0][-1]
                  for a, b in zip(*_oracle_normal_equations(flat))]
         expected = np.stack([_oracle_ar_refit_batch(good), lstsq])
-        with reused_buffers():
-            for _ in range(2):
-                assert np.array_equal(_sieve_refit(intercepts, residuals, heads, rho, idx), expected)
-
-    def test_set_is_kept_per_key_in_a_scope_only(self):
-        assert _sieve_buffers(50, 100) is not _sieve_buffers(50, 100)
-        with reused_buffers():
-            held = _sieve_buffers(50, 100)
-            assert _sieve_buffers(50, 100) is held
-            assert _sieve_buffers(40, 100) is not held
-            assert _sieve_buffers(50, 100) is not held  # the resize dropped it
-        assert _sieve_buffers(50, 100) is not _sieve_buffers(50, 100)
-
-    def test_outer_scope_usable_after_an_inner_one(self):
-        config = TestConfig(n_boot_k=500, seed=11)
-        series = self._gate_series(1, 50)
-        with reused_buffers():
-            self._assert_draws_equal_oracle(series, config)
-            held = _sieve_buffers(50, 500)
-            with reused_buffers():
-                self._assert_draws_equal_oracle(self._gate_series(2, 20),
-                                                TestConfig(n_boot_k=300, seed=12))
-                assert _sieve_buffers(50, 500) is not held
-            assert _sieve_buffers(50, 500) is held
-            self._assert_draws_equal_oracle(series, config)
-
-    def test_scope_is_per_thread(self):
-        seen = []
-        with reused_buffers():
-            held = _sieve_buffers(50, 100)
-            worker = threading.Thread(target=lambda: seen.append(_sieve_buffers(50, 100)))
-            worker.start()
-            worker.join()
-        assert seen[0] is not held
+        for _ in range(2):
+            assert np.array_equal(_sieve_refit(intercepts, residuals, heads, rho, idx), expected)
 
     @pytest.mark.parametrize("n_units, k", [(50, 500), (20, 300)])
     def test_elimination_takes_every_array_from_the_sieve(self, monkeypatch, n_units, k):
@@ -724,26 +689,40 @@ class TestReusedBuffers:
             return last
 
         monkeypatch.setattr(assumption_tests, "_last_coefficient", measured)
-        with reused_buffers():
-            for _ in range(2):
-                draws = _null_sieve_draws(series, *stacked_fits(series), config)
+        for _ in range(2):
+            draws = _null_sieve_draws(series, *stacked_fits(series), config)
         assert len(peaks) == 2 and max(peaks) <= 1.5 * draws.nbytes
 
-    def test_later_replication_in_a_scope_allocates_little(self):
-        # bound fixed before the first run: the index block, 1.55 MB when the
-        # burn-in was 50 steps and 0.55 MB at the floor's 10, and a few
-        # (50, 500) arrays, against about 3.5 MiB for a call outside a scope
-        panel = gate_panel(1)
-        config = TestConfig(n_boot_k=500, seed=3)
-        with reused_buffers():
-            run_temporal_test(panel, config)
-            tracemalloc.start()
-            try:
-                run_temporal_test(panel, replace(config, seed=4))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert peak <= 2 * 2**20
+    def test_concurrent_calls_equal_serial_ones(self):
+        # two threads running both shapes, half the time the same one and
+        # half the time not: an array kept between calls would mix one
+        # call's values into another's
+        panels = [
+            gate_panel(21),
+            simulate_panel(Scenario(n_units=30, n_periods=20,
+                                    base_params=default_power_params(), seed=22))[0],
+        ]
+        configs = [TestConfig(n_boot_k=500, seed=31), TestConfig(n_boot_k=300, seed=32)]
+        expected = [asdict(run_temporal_test(p, c)) for p, c in zip(panels, configs)]
+        rounds = 8
+        start = threading.Barrier(2)
+        seen = [[], []]
+
+        def run(thread):
+            start.wait()
+            for r in range(rounds):
+                i = (r >> thread) % 2  # 0, 1, 0, 1, ... and 0, 0, 1, 1, ...
+                seen[thread].append((i, asdict(run_temporal_test(panels[i], configs[i]))))
+
+        workers = [threading.Thread(target=run, args=(thread,)) for thread in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [len(reports) for reports in seen] == [rounds, rounds]
+        for i, report in seen[0] + seen[1]:
+            assert report == expected[i]
 
 
 def _rejected_lanes(seed, n, count):

@@ -1440,6 +1440,28 @@ class TestConfigJsonRoundTrip:
         target.write_text(json.dumps(asdict(grid)))
         assert read_grid_json(str(target)) == grid
 
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (read_scenario_json, '{"n_units": 20, "n_periods": 12}'),
+            (read_grid_json, json.dumps(asdict(GridSpec(n_values=(20,), t_values=(12,))))),
+        ],
+        ids=["scenario", "grid"],
+    )
+    def test_byte_order_mark_accepted(self, tmp_path, read, text):
+        # the CSV readers skip a UTF-8 BOM, so the JSON readers skip it too
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read(str(marked)) == read(str(plain))
+
+    def test_simulate_takes_a_scenario_with_a_byte_order_mark(self, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_bytes(b'\xef\xbb\xbf{"n_units": 20, "n_periods": 12}')
+        out = tmp_path / "panel.csv"
+        assert parse_and_dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert read_panel_csv(str(out)).log_output.shape == (20, 12)
+
 
 @pytest.mark.parametrize(
     "value", [20, 20.0, -3, 0.0, 20.5, 1e300, True, False, math.inf, math.nan, None, [1], {}]

@@ -16,7 +16,6 @@ from stfrontier import (
     StfrontierError,
     ValidationError,
     default_power_params,
-    assumption_tests,
     power,
     run_grid,
     run_power_cell,
@@ -104,18 +103,6 @@ class TestRunPowerCell:
         assert cell.n_failures == 1
         assert cell.n_rejections == 33
         assert cell.rejection_rate == cell.n_rejections / 99
-
-    def test_replications_share_one_sieve_buffer_set(self, monkeypatch):
-        seen = []
-
-        def record(panel, config):
-            seen.append(assumption_tests._sieve_buffers(8, 100))
-            return SimpleNamespace(reject=False)
-
-        monkeypatch.setattr(power, "test_constant_temporal", record)
-        run_power_cell(tiny_scenario(), "temporal", 3, master_seed=2)
-        assert seen[0] is seen[1] is seen[2]
-        assert assumption_tests._sieve_buffers(8, 100) is not seen[0]  # freed with the cell
 
     def test_cell_key_excludes_seed(self):
         a = cell_key(tiny_scenario(seed=1), "temporal")

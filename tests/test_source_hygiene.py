@@ -85,3 +85,60 @@ def test_every_text_open_names_its_encoding(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = _text_opens_without_encoding(tree)
     assert not lines, f"{path.name}: text opened in the locale's encoding on lines {lines}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name a module binds at its top level, by def, class or
+    assignment, with its line; dunder names belong to Python, not to it."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads: a bare name, or an attribute such as
+    module._name; importing a name is not reading it."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize(
+    "source, unread",
+    [
+        ("_held = object()", {"_held"}),
+        ("def _f(): pass\nclass _C: pass", {"_f", "_C"}),
+        ("_a, _b = 1, 2\nprint(_a)", {"_b"}),
+        ("_x: int = 1\nx = _x", set()),
+        ("def _f(): pass\ng = [_f]", set()),
+        ("_n = 1\nm.y = self._n", set()),
+        ("__all__ = []\nPUBLIC = 1", set()),
+    ],
+)
+def test_unread_private_names_are_found(source, unread):
+    tree = ast.parse(source)
+    assert set(_private_definitions(tree)) - _read_names(tree) == unread
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {f"{name}:{line} {private}"
+              for name, tree in trees.items()
+              for private, line in _private_definitions(tree).items() if private not in read}
+    assert not unread, f"private names defined but read nowhere in the package: {sorted(unread)}"
